@@ -20,17 +20,17 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .chaos import ChaosVariable, ChaosVector, cov_abs_sq, fourth_gap, third_moments_closed
-from .space import (
-    Kernel,
-    SpaceError,
-    contract,
-    inner_product,
-    norm,
-    norm_sq,
-    reverse_conjugate,
-    symmetrize,
+from .chaos import (
+    ChaosVariable,
+    ChaosVector,
+    _second_moments,
+    cov_abs_sq,
+    fourth_gap,
+    pairing_expectation,
+    product_expectation,
+    third_moments_closed,
 )
+from .space import Kernel, SpaceError, contract, norm, norm_sq, reverse_conjugate, symmetrize
 
 __all__ = [
     "NonCircularError",
@@ -121,12 +121,8 @@ class BoundInputs:
     @classmethod
     def from_kernel(cls, f: Kernel) -> "BoundInputs":
         f = symmetrize(f)
-        p, q = f.p, f.q
-        sigma_sq = factorial(p) * factorial(q) * norm_sq(f)
-        pseudo = 0.0 + 0.0j
-        if p == q:
-            pseudo = factorial(p) * factorial(q) * inner_product(f, reverse_conjugate(f))
-        return cls.from_moments(sigma_sq, complex(pseudo), p + q)
+        sigma_sq, pseudo = _second_moments(f)
+        return cls.from_moments(sigma_sq, pseudo, f.degree)
 
 
 def binomial_sum(l: int) -> int:
@@ -169,7 +165,13 @@ def be_upper_circular(f: Kernel, circular_tol: float = CIRCULAR_TOL) -> float:
             f"{circular_tol:.1e} * sigma^2 = {circular_tol * inputs.sigma_sq:.3e}"
         )
     quantity = fourth_gap(f, "v1") + pseudo_mag ** 2
-    return 8.0 / sqrt(inputs.sigma_sq) * sqrt(binomial_sum(inputs.l)) * sqrt(max(quantity, 0.0))
+    return _circular_bound(inputs.sigma_sq, quantity, inputs.l)
+
+
+def _circular_bound(sigma_sq: float, quantity: float, l: int) -> float:
+    """(8 / sigma) sqrt(sum_{r<l} C(2r,r)) sqrt(quantity), with ``quantity`` the
+    gap plus |E F^2|^2 of a chaos variable of order l and variance sigma_sq."""
+    return 8.0 / sqrt(sigma_sq) * sqrt(binomial_sum(l)) * sqrt(max(quantity, 0.0))
 
 
 def be_lower_terms(f: Kernel) -> tuple[float, float, float]:
@@ -251,6 +253,12 @@ def _succeeds(p1: int, q1: int, p2: int, q2: int) -> bool:
 # -- multivariate ------------------------------------------------------------------
 
 
+def _pair_matrix(F: ChaosVector, pair) -> np.ndarray:
+    """d x d complex matrix with entries pair(F^j, F^r)."""
+    return np.array([[pair(Fj, Fr) for Fr in F.components] for Fj in F.components],
+                    dtype=complex)
+
+
 @dataclass(frozen=True)
 class CovarianceSummary:
     """Hermitian covariance E[F conj(F)'], pseudo-covariance E[F F'], and the
@@ -263,15 +271,8 @@ class CovarianceSummary:
 
     @classmethod
     def from_vector(cls, F: ChaosVector) -> "CovarianceSummary":
-        from .chaos import pairing_expectation, product_expectation
-
-        d = F.d
-        sigma = np.zeros((d, d), dtype=complex)
-        pseudo = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            for r in range(d):
-                sigma[j, r] = pairing_expectation(F.components[j], F.components[r])
-                pseudo[j, r] = product_expectation(F.components[j], F.components[r])
+        sigma = _pair_matrix(F, pairing_expectation)
+        pseudo = _pair_matrix(F, product_expectation)
         eig = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
         return cls(sigma=sigma, pseudo=pseudo,
                    lambda_max=float(eig[-1]), lambda_min=float(eig[0]))
@@ -419,13 +420,7 @@ class CircularityReport:
 
 
 def circularity_check(F: ChaosVector, tol: float = CIRCULAR_TOL) -> CircularityReport:
-    from .chaos import product_expectation
-
-    d = F.d
-    pseudo = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        for r in range(d):
-            pseudo[j, r] = product_expectation(F.components[j], F.components[r])
+    pseudo = _pair_matrix(F, product_expectation)
     max_abs = float(np.max(np.abs(pseudo)))
     return CircularityReport(pseudo=pseudo, max_abs=max_abs, tol=tol, passed=max_abs <= tol)
 

@@ -12,16 +12,17 @@ and second moments come from the isometry
 ``E[I_{a,b}(f) conj(I_{c,d}(g))] = 1{a=c} 1{b=d} a! b! <f, g>``.
 
 The fourth-moment gap ``E|F|^4 - 2 (E|F|^2)^2 - |E F^2|^2`` is available through
-three independent routes (the product-formula moment engine and two closed
-contraction-sum expansions) that must agree to float accuracy; the pair of
-closed routes is the quantity driving every normal-approximation bound in
-:mod:`cwchaos.bounds`.
+three routes (the product-formula moment engine and two closed
+contraction-sum expansions) that must agree to float accuracy; the first
+closed route is the f_1 = f_2 case of the contraction groups of
+:func:`cov_abs_sq`, and the closed routes drive every normal-approximation
+bound in :mod:`cwchaos.bounds`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, isnan, nan
 
 import numpy as np
 
@@ -274,21 +275,6 @@ def third_moments_closed(f: Kernel) -> tuple[complex, complex]:
     return complex(s3), complex(s21)
 
 
-def _phi_group(f: Kernel, r: int) -> Kernel | None:
-    """phi_r = sum_{i+j=r} C(p,i) C(q,i) C(q,j) C(p,j) i! j! f (x~)_{i,j} f."""
-    p, q = f.p, f.q
-    m = min(p, q)
-    out = None
-    for i in range(min(r, m) + 1):
-        j = r - i
-        if j < 0 or j > m:
-            continue
-        coef = comb(p, i) * comb(q, i) * comb(q, j) * comb(p, j) * factorial(i) * factorial(j)
-        kern = sym_contract(f, f, i, j) * coef
-        out = kern if out is None else out + kern
-    return out
-
-
 def _psi_group(f: Kernel, h: Kernel, r: int) -> Kernel | None:
     """psi_r = sum_{i+j=r} C(p,i)^2 C(q,j)^2 i! j! f (x~)_{i,j} h."""
     p, q = f.p, f.q
@@ -309,7 +295,8 @@ def fourth_gap(f: Kernel, route: str = "v1", degree_cap: int = DEGREE_CAP) -> fl
     Routes:
 
     * ``"moments"`` -- product-formula moment engine (needs 2 (p+q) <= degree_cap);
-    * ``"v1"`` -- contraction sum over f (x)_{i,j} h plus the phi_r groups;
+    * ``"v1"`` -- contraction sum over f (x)_{i,j} h plus the phi_r groups, the
+      f_1 = f_2 case of :func:`cov_abs_sq`'s groups;
     * ``"v2"`` -- contraction sum over f (x)_{i,j} f plus the psi_r groups.
 
     All routes agree to float accuracy; v1 and v2 are manifestly nonnegative
@@ -327,23 +314,10 @@ def fourth_gap(f: Kernel, route: str = "v1", degree_cap: int = DEGREE_CAP) -> fl
         s2 = factorial(p) * factorial(q) * norm_sq(f)
         ef2 = F2.constant
         return e4 - 2.0 * s2 ** 2 - abs(ef2) ** 2
+    if route == "v1":
+        return _cov_groups(f, f)
     h = reverse_conjugate(f)
     m = min(p, q)
-    if route == "v1":
-        total = 0.0
-        for i in range(p + 1):
-            for j in range(q + 1):
-                if 0 < i + j < l:
-                    coef = comb(p, i) ** 2 * comb(q, j) ** 2 * (factorial(p) * factorial(q)) ** 2
-                    total += coef * norm_sq(contract(f, h, i, j))
-        lp = 2 * m
-        for r in range(1, lp):
-            phi = _phi_group(f, r)
-            total += factorial(2 * p - r) * factorial(2 * q - r) * norm_sq(phi)
-        if p != q and m >= 1:
-            phi_b = _phi_group(f, lp)
-            total += factorial(2 * p - lp) * factorial(2 * q - lp) * norm_sq(phi_b)
-        return total
     if route == "v2":
         total = 0.0
         lp = 2 * m
@@ -363,13 +337,13 @@ def fourth_gap(f: Kernel, route: str = "v1", degree_cap: int = DEGREE_CAP) -> fl
     raise ValueError(f"unknown route {route!r}")
 
 
-def cov_abs_sq(f1: Kernel, f2: Kernel) -> float:
-    """Cov(|F_1|^2, |F_2|^2) for F_k = I_{p_k,q_k}(f_k), via the exact four-group
-    contraction expansion of Cov - |E F_1 conj(F_2)|^2 - |E F_1 F_2|^2."""
-    f1 = symmetrize(f1)
-    f2 = symmetrize(f2)
-    if not f1.space.same_as(f2.space):
-        raise SpaceError("kernels live on different spaces")
+def _cov_groups(f1: Kernel, f2: Kernel) -> float:
+    """Cov(|F_1|^2, |F_2|^2) - |E F_1 conj(F_2)|^2 - |E F_1 F_2|^2 for symmetric
+    kernels on one space: the direct f_1 (x)_{k,k'} h_2 group plus the phi_r groups.
+
+    At f_1 = f_2 = f this is the fourth-moment gap of I_{p,q}(f), summed term
+    by term, so it stays accurate when the gap is small against (E|F|^2)^2.
+    """
     p1, q1, p2, q2 = f1.p, f1.q, f2.p, f2.q
     h2 = reverse_conjugate(f2)
     fac = factorial(p1) * factorial(q1) * factorial(p2) * factorial(q2)
@@ -403,13 +377,24 @@ def cov_abs_sq(f1: Kernel, f2: Kernel) -> float:
         total += factorial(p1 + p2 - r) * factorial(q1 + q2 - r) * norm_sq(phi(r))
     if (p1, q1) != (q2, p2) and lp >= 1:
         total += factorial(p1 + p2 - lp) * factorial(q1 + q2 - lp) * norm_sq(phi(lp))
+    return total
 
+
+def cov_abs_sq(f1: Kernel, f2: Kernel) -> float:
+    """Cov(|F_1|^2, |F_2|^2) for F_k = I_{p_k,q_k}(f_k): the contraction groups
+    of ``_cov_groups`` plus the cross terms |E F_1 conj(F_2)|^2 and |E F_1 F_2|^2."""
+    f1 = symmetrize(f1)
+    f2 = symmetrize(f2)
+    if not f1.space.same_as(f2.space):
+        raise SpaceError("kernels live on different spaces")
+    key1 = (f1.p, f1.q)
+    fac = factorial(f1.p) * factorial(f1.q)
     cross = 0.0
-    if (p1, q1) == (p2, q2):
-        cross += abs(factorial(p1) * factorial(q1) * inner_product(f1, f2)) ** 2
-    if (p1, q1) == (q2, p2):
-        cross += abs(factorial(p1) * factorial(q1) * inner_product(f1, h2)) ** 2
-    return total + cross
+    if key1 == (f2.p, f2.q):
+        cross += abs(fac * inner_product(f1, f2)) ** 2
+    if key1 == (f2.q, f2.p):
+        cross += abs(fac * inner_product(f1, reverse_conjugate(f2))) ** 2
+    return _cov_groups(f1, f2) + cross
 
 
 # -- consolidated report --------------------------------------------------------
@@ -429,8 +414,10 @@ class MomentReport:
 
     def route_spread(self) -> float:
         """Largest disagreement among the three gap routes, relative to the
-        natural fourth-order scale max(|gap|, var_abs^2)."""
+        natural fourth-order scale max(|gap|, var_abs^2); NaN if any input is NaN."""
         gaps = (self.gap, self.gap_v1, self.gap_v2)
+        if any(isnan(x) for x in gaps + (self.var_abs,)):
+            return nan
         scale = max(max(abs(g) for g in gaps), self.var_abs ** 2)
         if scale == 0.0:
             return 0.0
@@ -452,18 +439,24 @@ class MomentReport:
         }
 
 
+def _second_moments(f: Kernel) -> tuple[float, complex]:
+    """(E|F|^2, E F^2) of F = I_{p,q}(f) for a symmetric kernel f, by the
+    isometry; E F^2 vanishes unless p = q."""
+    fac = factorial(f.p) * factorial(f.q)
+    pseudo = 0.0 + 0.0j
+    if f.p == f.q:
+        pseudo = fac * inner_product(f, reverse_conjugate(f))
+    return fac * norm_sq(f), complex(pseudo)
+
+
 def moment_report(f: Kernel, degree_cap: int = DEGREE_CAP) -> MomentReport:
     """Second moments, closed-form third moments, and the gap by all three routes."""
     f = symmetrize(f)
-    p, q = f.p, f.q
-    var_abs = factorial(p) * factorial(q) * norm_sq(f)
-    pseudo = 0.0 + 0.0j
-    if p == q:
-        pseudo = factorial(p) * factorial(q) * inner_product(f, reverse_conjugate(f))
+    var_abs, pseudo = _second_moments(f)
     third, third_mixed = third_moments_closed(f)
     return MomentReport(
         var_abs=var_abs,
-        pseudo=complex(pseudo),
+        pseudo=pseudo,
         third=third,
         third_mixed=third_mixed,
         gap=fourth_gap(f, "moments", degree_cap=degree_cap),

@@ -19,11 +19,12 @@ the |u - v|^{2H-2} singularity.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import exp, sqrt
+from math import exp, isfinite, sqrt
 
 import numpy as np
 from scipy.signal import lfilter
 
+from .bounds import _circular_bound
 from .sampling import GENERATOR_VERSION, SampleBatch, _block_rng
 from .space import Kernel, SpaceError, SpaceSpec
 
@@ -62,10 +63,13 @@ class OUParams:
     H: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        # each test is written so that NaN fails it
+        if not (isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lam must be positive and finite")
+        if not isfinite(self.omega):
+            raise ValueError("omega must be finite")
+        if not (isfinite(self.T) and self.T > 0):
+            raise ValueError("T must be positive and finite")
         if not (0.5 <= self.H < 0.75):
             raise ValueError("H must lie in [0.5, 0.75)")
 
@@ -352,7 +356,7 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
         if base.H == 0.5:
             tq = triangular_quantities(params, m)
             quantity = tq.gap_v1 + tq.pseudo**2
-            be_circ = 8.0 / sqrt(tq.var) * sqrt(2.0) * sqrt(max(quantity, 0.0))
+            be_circ = _circular_bound(tq.var, quantity, 2)  # F_T = I_{1,1}: order 2
             rows.append(RateRow(T=T, m=m, var=tq.var, gap=tq.gap_v1,
                                 e3_mixed=tq.e3_mixed_abs, e3=tq.e3_abs,
                                 fmt_10_sq=tq.fmt_10_sq, fmt_01_sq=tq.fmt_01_sq,
@@ -463,7 +467,7 @@ def _fractional_quantities(params: OUParams, grid: GridSpec) -> dict:
     e3_mixed = abs(e21) / var**1.5
     e3_abs = abs(e3) / var**1.5
     quantity = gap + (abs(pseudo) / var) ** 2
-    be_circ = 8.0 * sqrt(2.0) * sqrt(max(quantity, 0.0))
+    be_circ = _circular_bound(1.0, quantity, 2)  # unit variance, order 2
     return {
         "var": var,
         "pseudo": pseudo,

@@ -24,7 +24,7 @@ from math import factorial, pi, sqrt
 import numpy as np
 
 from .chaos import ChaosVariable
-from .space import Kernel
+from .space import _apply_weights
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -128,17 +128,6 @@ def _hermite_table(pmax: int, qmax: int, z: np.ndarray):
 # -- chaos sampler -------------------------------------------------------------------
 
 
-def _orthonormal_coeffs(kern: Kernel) -> np.ndarray:
-    """Coefficients in the orthonormalized basis e_k / sqrt(w_k)."""
-    out = kern.coeffs
-    root_w = np.sqrt(kern.space.weights)
-    for ax in range(kern.degree):
-        shape = [1] * out.ndim
-        shape[ax] = len(root_w)
-        out = out * root_w.reshape(shape)
-    return out
-
-
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     return np.random.Generator(np.random.Philox(ss))
@@ -177,7 +166,8 @@ def sample_chaos(F: ChaosVariable, N: int, seed: int) -> SampleBatch:
     n = F.space.n
     prepared = []
     for (p, q), kern in F.terms.items():
-        coeffs = _orthonormal_coeffs(kern)
+        # coefficients in the orthonormalized basis e_k / sqrt(w_k)
+        coeffs = _apply_weights(kern.coeffs, np.sqrt(kern.space.weights), range(kern.degree))
         prepared.append((p, q, _profiles(coeffs, p, q, n)))
 
     values = np.empty(N, dtype=complex)

@@ -67,14 +67,16 @@ class SpaceSpec:
         w = np.array(self.weights, dtype=float)
         if w.shape != (self.n,):
             raise SpaceError(f"weights must have shape ({self.n},), got {w.shape}")
-        if not np.all(w > 0):
-            raise SpaceError("all weights must be positive")
+        if not np.all((w > 0) & np.isfinite(w)):
+            raise SpaceError("all weights must be positive and finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.grid is not None:
             g = np.array(self.grid, dtype=float)
             if g.shape != (self.n,):
                 raise SpaceError(f"grid must have shape ({self.n},), got {g.shape}")
+            if not np.all(np.isfinite(g)):
+                raise SpaceError("grid must be finite")
             if self.n > 1 and not np.all(np.diff(g) > 0):
                 raise SpaceError("grid must be strictly increasing")
             g.setflags(write=False)
@@ -101,8 +103,9 @@ class SpaceSpec:
 class Kernel:
     """Dense complex tensor in H^{(x)p} (x) H^{(x)q} over a shared space.
 
-    ``coeffs`` is row-major with the first ``p`` axes holomorphic and the last
-    ``q`` axes antiholomorphic; ``p = q = 0`` encodes a scalar.  ``symmetric``
+    ``coeffs`` has shape ``(n,) * (p + q)``, or is given flat in row-major
+    order, with the first ``p`` axes holomorphic and the last ``q`` axes
+    antiholomorphic; ``p = q = 0`` encodes a scalar.  ``symmetric``
     flags invariance under permutations within each block.
     """
 
@@ -114,11 +117,12 @@ class Kernel:
         arr = np.array(coeffs, dtype=np.complex128)
         expected = (space.n,) * (p + q)
         if arr.shape != expected:
-            if arr.size == space.n ** (p + q):
+            if arr.ndim == 1 and arr.size == space.n ** (p + q):
                 arr = arr.reshape(expected)
             else:
                 raise SpaceError(
-                    f"coeffs size {arr.size} does not match n^(p+q) = {space.n ** (p + q)}"
+                    f"coeffs shape {arr.shape} is neither {expected} "
+                    f"nor flat of length n^(p+q) = {space.n ** (p + q)}"
                 )
         arr.setflags(write=False)
         self.space = space
@@ -150,9 +154,6 @@ class Kernel:
     @property
     def degree(self) -> int:
         return self.p + self.q
-
-    def with_coeffs(self, coeffs, symmetric: bool = False) -> "Kernel":
-        return Kernel(self.space, self.p, self.q, coeffs, symmetric=symmetric)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Kernel(n={self.space.n}, p={self.p}, q={self.q}, symmetric={self.symmetric})"
@@ -326,6 +327,8 @@ def kernel_from_json(doc: dict) -> Kernel:
         raise SpaceError(f"malformed kernel document: {exc}") from exc
     if re.shape != im.shape:
         raise SpaceError("re and im must have equal length")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise SpaceError("kernel coefficients must be finite")
     space = SpaceSpec(n=n, weights=weights, grid=grid)
     return Kernel(space, p, q, re + 1j * im)
 

@@ -11,6 +11,7 @@ import pytest
 from cwchaos.chaos import (
     ChaosVariable,
     DegreeCapError,
+    MomentReport,
     chaos_from_json,
     chaos_to_json,
     conjugate,
@@ -311,6 +312,15 @@ def test_moment_report_route_spread_scale(rng):
     sp = random_space(rng, 3, weighted=True)
     rep = moment_report(random_kernel(rng, sp, 1, 0) * 10.0)
     assert rep.route_spread() <= 1e-12
+
+
+def test_moment_report_route_spread_nan():
+    # Python max/min skip a NaN that is not in first position, so one NaN
+    # route must be caught explicitly
+    for gaps in ((1.0, float("nan"), 1.0), (float("nan"),) * 3, (1.0, 1.0, float("nan"))):
+        rep = MomentReport(var_abs=1.0, pseudo=0j, third=0j, third_mixed=0j,
+                           gap=gaps[0], gap_v1=gaps[1], gap_v2=gaps[2])
+        assert np.isnan(rep.route_spread())
 
 
 def test_chaos_json_roundtrip(rng, tmp_path):

@@ -8,6 +8,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from cwchaos import cli
 from cwchaos.chaos import ChaosVariable, chaos_to_json
 from cwchaos.cli import main
 from cwchaos.space import Kernel, SpaceSpec, kernel_to_json, save_kernel
@@ -57,6 +58,21 @@ def test_moments_first_chaos_gap_zero(files, tmp_path):
 
 def test_moments_missing_file(tmp_path):
     assert main(["moments", str(tmp_path / "nope.json")]) == 2
+
+
+def test_moments_nan_kernel(tmp_path, monkeypatch):
+    # a NaN coefficient in a file is bad input; one that reaches the report
+    # makes every route NaN, which must fail the tolerance gate
+    doc = kernel_to_json(Kernel.basis(SpaceSpec.orthonormal(2), (0,), (1,)))
+    doc["re"][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["moments", str(path)]) == 2
+
+    sp = SpaceSpec.orthonormal(2)
+    monkeypatch.setattr(cli, "load_kernel",
+                        lambda _: Kernel(sp, 1, 1, np.array([[np.nan, 1.0], [0.0, 0.0]])))
+    assert main(["moments", str(path), "-o", str(tmp_path / "rep.json")]) == 3
 
 
 def test_bound_kernel(files, tmp_path):
@@ -121,6 +137,19 @@ def test_sample_writes_csv(files, tmp_path):
     assert len(lines) == 502
     re0, im0 = map(float, lines[2].split(","))
     assert np.isfinite(re0) and np.isfinite(im0)
+
+
+def test_samplers_require_output_before_sampling(files, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled without an output file")
+
+    monkeypatch.setattr(cli, "sample_chaos", fail)
+    monkeypatch.setattr(cli, "sample_numerator", fail)
+    for argv in (["sample", "--kernel", str(files / "k11.json"), "-N", "10"],
+                 ["ou-sample", "--T", "5", "-N", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_ou_rate_assert_pass_and_fail(tmp_path):

@@ -41,6 +41,12 @@ def test_params_validation():
         OUParams(lam=1.0, T=-1.0)
     with pytest.raises(ValueError):
         OUParams(lam=1.0, H=0.75)
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"lam": nan, "T": nan}, {"lam": nan}, {"lam": inf}, {"lam": 1.0, "omega": nan},
+                {"lam": 1.0, "omega": inf}, {"lam": 1.0, "T": nan}, {"lam": 1.0, "T": inf},
+                {"lam": 1.0, "H": nan}):
+        with pytest.raises(ValueError):
+            OUParams(**bad)
     p = OUParams(lam=2.0, omega=0.5, T=3.0, H=0.7)
     assert p.gamma == 2.0 - 0.5j
     assert p.alpha_h == pytest.approx(0.7 * 0.4)

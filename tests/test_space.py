@@ -50,6 +50,29 @@ def test_kernel_shape_validation():
         Kernel(sp, -1, 1, np.zeros(2))
 
 
+def test_kernel_reshapes_only_flat_arrays():
+    sp = SpaceSpec.orthonormal(4)
+    flat = np.arange(16.0)
+    assert np.array_equal(Kernel(sp, 1, 1, flat).coeffs, flat.reshape(4, 4))
+    with pytest.raises(SpaceError):
+        Kernel(sp, 1, 1, flat.reshape(2, 8))  # right size, wrong shape
+
+
+def test_non_finite_inputs_rejected():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(SpaceError):
+            SpaceSpec(2, weights=np.array([1.0, bad]))
+        with pytest.raises(SpaceError):
+            SpaceSpec(2, weights=np.ones(2), grid=np.array([0.0, bad]))
+        with pytest.raises(SpaceError):
+            SpaceSpec(1, weights=np.ones(1), grid=np.array([bad]))
+        for part in ("re", "im"):
+            doc = kernel_to_json(Kernel.basis(SpaceSpec.orthonormal(2), (0,), (1,)))
+            doc[part][1] = bad
+            with pytest.raises(SpaceError):
+                kernel_from_json(doc)
+
+
 # -- inner product ------------------------------------------------------------------
 
 
