@@ -15,7 +15,7 @@ quantities they multiply are reported as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -304,19 +304,7 @@ class BoundReport:
     cross_terms: list[CrossTerm]
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "bound": self.bound,
-            "quartic_sum": self.quartic_sum,
-            "lambda_max": self.lambda_max,
-            "lambda_min": self.lambda_min,
-            "pseudo_max": self.pseudo_max,
-            "own_contraction_sums": list(self.own_contraction_sums),
-            "cross_terms": [
-                {"r": t.r, "j": t.j, "label": t.label, "active": t.active, "value": t.value}
-                for t in self.cross_terms
-            ],
-        }
+        return asdict(self)
 
 
 def _single_order_kernels(F: ChaosVector) -> list[Kernel]:

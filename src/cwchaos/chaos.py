@@ -22,7 +22,7 @@ bound in :mod:`cwchaos.bounds`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, isnan, nan
+from math import comb, factorial, isfinite, isnan, nan
 
 import numpy as np
 
@@ -424,7 +424,8 @@ class MomentReport:
         return (max(gaps) - min(gaps)) / scale
 
     def to_json(self) -> dict:
-        return {
+        """The report's numbers, with None (JSON null) for a non-finite one."""
+        doc = {
             "var_abs": self.var_abs,
             "pseudo_re": self.pseudo.real,
             "pseudo_im": self.pseudo.imag,
@@ -437,6 +438,7 @@ class MomentReport:
             "gap_v2": self.gap_v2,
             "route_spread": self.route_spread(),
         }
+        return {key: value if isfinite(value) else None for key, value in doc.items()}
 
 
 def _second_moments(f: Kernel) -> tuple[float, complex]:
@@ -482,14 +484,17 @@ def chaos_to_json(F: ChaosVariable) -> dict:
 def chaos_from_json(doc: dict) -> ChaosVariable:
     try:
         constant = complex(float(doc["constant_re"]), float(doc["constant_im"]))
-        raw_terms = doc["terms"]
+        raw_terms = list(doc["terms"])
     except (KeyError, TypeError) as exc:
         raise SpaceError(f"malformed chaos document: {exc}") from exc
     terms = {}
     space = None
     for entry in raw_terms:
-        kern = symmetrize(kernel_from_json(entry["kernel"]))
-        key = (int(entry["p"]), int(entry["q"]))
+        try:
+            kern_doc, key = entry["kernel"], (int(entry["p"]), int(entry["q"]))
+        except (KeyError, TypeError) as exc:
+            raise SpaceError(f"chaos term needs 'p', 'q' and 'kernel': {exc!r}") from exc
+        kern = symmetrize(kernel_from_json(kern_doc))
         if key != (kern.p, kern.q):
             raise SpaceError(f"term {key} does not match its kernel blocks")
         terms[key] = kern

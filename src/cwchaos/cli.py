@@ -3,6 +3,7 @@
 Exit codes: 0 on success, 2 on validation failures (unreadable or malformed
 inputs, violated preconditions), 3 on tolerance/assertion failures (route
 disagreement, slopes outside an asserted window, non-shrinking residuals).
+Any other exception is an internal fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -66,11 +67,13 @@ def _load_vector(path: str) -> ChaosVector:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        comps = doc["components"]
+        comps = list(doc["components"])
     except (KeyError, TypeError) as exc:
         raise SpaceError(f"vector file needs a 'components' list: {exc}") from exc
     out = []
     for entry in comps:
+        if not isinstance(entry, dict):
+            raise SpaceError(f"vector component must be an object, not {entry!r}")
         if "kernel" in entry and "p" in entry:
             # bare single-order component given as {"p","q","kernel"}
             out.append(ChaosVariable.from_kernel(kernel_from_json(entry["kernel"])))
@@ -297,7 +300,7 @@ def main(argv=None) -> int:
     except (SpaceError, DegreeCapError, NonCircularError, SingularCovarianceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

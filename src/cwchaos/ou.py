@@ -18,14 +18,13 @@ the |u - v|^{2H-2} singularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import exp, isfinite, sqrt
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .bounds import _circular_bound
-from .sampling import GENERATOR_VERSION, SampleBatch, _block_rng
+from .sampling import GENERATOR_VERSION, SampleBatch, _block_rng, _complex_normal
 from .space import Kernel, SpaceError, SpaceSpec
 
 __all__ = [
@@ -407,14 +406,19 @@ def fbm_gram(params: OUParams, grid: GridSpec) -> np.ndarray:
 def fbm_inner(f: Kernel, g: Kernel, params: OUParams) -> complex:
     """Fractional inner product <f, g>_H with the Gram applied slotwise.
 
-    Kernels must share a midpoint-style space (grid and weights define the
-    cells).  H = 1/2 reduces to the ordinary weighted inner product.
+    Kernels must share the midpoint space of some [0, T] (``GridSpec.space``),
+    whose cells the Gram integrates over; any other space raises SpaceError.
+    H = 1/2 reduces to the ordinary weighted inner product.
     """
     f._check_peer(g)
     if f.space.grid is None:
         raise SpaceError("fbm_inner needs a gridded space")
     grid = GridSpec(m=f.space.n)
     pars = replace(params, T=float(f.space.grid[-1] + f.space.weights[-1] / 2.0))
+    t, w = grid.nodes_weights(pars.T)
+    if not (np.allclose(f.space.grid, t, rtol=0.0, atol=1e-12 * pars.T)
+            and np.allclose(f.space.weights, w, rtol=1e-12, atol=0.0)):
+        raise SpaceError("fbm_inner needs the midpoint cells of [0, T]")
     gram = fbm_gram(pars, grid)
     out = f.coeffs
     for ax in range(f.degree):
@@ -483,14 +487,26 @@ def _fractional_quantities(params: OUParams, grid: GridSpec) -> dict:
 # -- exact-in-law sampling of the numerator statistic -----------------------------------
 
 
+def _ar1_rows(a, x):
+    """Rows Y_1, Y_2, ... of the AR(1) recursion Y_0 = 0, Y_{k+1} = a Y_k + x_k,
+    walking the rows of x (an array or any iterable) one at a time, so a caller
+    that reduces as it goes never holds all of Y."""
+    y = 0.0
+    for row in x:
+        y = a * y + row
+        yield y
+
+
 def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int,
                      normalized: bool = True) -> SampleBatch:
     """Monte Carlo batch of the (normalized) numerator statistic.
 
-    Uses the quadratic-form representation sum_{j<i} K_{ij} Z_i conj(Z_j) of
-    ``numerator_kernel``, with one first-order recursion along the grid per
-    sample block plus its first-subdiagonal band, so cost is O(m N) rather than
-    O(m^2 N).
+    Evaluates the quadratic form sum_{j<i} K_{ij} Z_i conj(Z_j) of
+    ``numerator_kernel`` by one walk down the grid per sample block: row i pairs
+    Z_i with conj(W_i + band Z_{i-1}), where W_i = sum_{j<i} e^(-gamma (t_i - t_j)) Z_j
+    is the AR(1) recursion and band Z_{i-1} the first-subdiagonal band.  The sum
+    accumulates row by row, so cost is O(m N) rather than O(m^2 N) and the block
+    of draws is the only m x block array.
     """
     if params.H != 0.5:
         raise ValueError("sampling is implemented for the H = 1/2 branch")
@@ -501,8 +517,8 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int,
     m = grid.m
     T = params.T
     dt = T / m
-    decay = np.exp(-np.conj(params.gamma) * dt)
-    band = (_subdiagonal_factor(params.lam, dt) - 1.0) * decay
+    a = np.exp(-params.gamma * dt)
+    band = (_subdiagonal_factor(params.lam, dt) - 1.0) * a
     scale = dt / sqrt(T) * (normalization_factor(params) if normalized else 1.0)
 
     block = max(1024, min(1 << 16, (8 << 20) // m))
@@ -510,17 +526,11 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int,
     n_blocks = (N + block - 1) // block
     for ib in range(n_blocks):
         lo, hi = ib * block, min((ib + 1) * block, N)
-        nb = hi - lo
-        rng = _block_rng(seed, ib)
-        Z = (rng.standard_normal((m, nb)) + 1j * rng.standard_normal((m, nb))) / sqrt(2.0)
-        Zc = np.conj(Z)
-        u = lfilter([0.0, decay], [1.0, -decay], Zc, axis=0)
-        # the first-subdiagonal band of numerator_kernel, added in place so
-        # that no further block-sized array is allocated
-        Zc[:-1] *= band
-        u[1:] += Zc[:-1]
-        del Zc
-        values[lo:hi] = scale * np.sum(Z * u, axis=0)
+        Z = _complex_normal(_block_rng(seed, ib), (m, hi - lo))
+        acc = np.zeros(hi - lo, dtype=complex)
+        for i, w in enumerate(_ar1_rows(a, (a * z for z in Z[:-1])), start=1):
+            acc += Z[i] * np.conj(w + band * Z[i - 1])
+        values[lo:hi] = scale * acc
     meta = (f"sample_numerator lam={params.lam!r} omega={params.omega!r} T={T!r} m={m} "
             f"seed={seed} N={N} block={block} version={GENERATOR_VERSION}")
     return SampleBatch(values=values, seed=seed, meta=meta)
@@ -542,11 +552,8 @@ def simulate_path(params: OUParams, grid: GridSpec, seed: int, n_paths: int = 1)
     dt = params.T / m
     a = np.exp(-params.gamma * dt)
     sd = sqrt((1.0 - exp(-2.0 * params.lam * dt)) / (2.0 * params.lam))
-    rng = _block_rng(seed, 0)
-    eps = sd * (rng.standard_normal((m, n_paths)) + 1j * rng.standard_normal((m, n_paths))) / sqrt(2.0)
-    Z = np.zeros((m + 1, n_paths), dtype=complex)
-    # Z_{k+1} = a Z_k + eps_k
-    Z[1:] = lfilter([1.0], [1.0, -a], eps, axis=0)
+    eps = sd * _complex_normal(_block_rng(seed, 0), (m, n_paths))
+    Z = np.array([np.zeros_like(eps[0]), *_ar1_rows(a, eps)])
     if n_paths == 1:
         return Z[:, 0], eps[:, 0]
     return Z, eps
@@ -570,14 +577,7 @@ class DenominatorReport:
     diff_se: float
 
     def to_json(self) -> dict:
-        return {
-            "T": self.T, "m": self.m, "n_paths": self.n_paths,
-            "mean_abs_residual": self.mean_abs_residual,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "lhs_mean": self.lhs_mean, "rhs_mean": self.rhs_mean,
-            "mean_closed": self.mean_closed, "diff_se": self.diff_se,
-        }
+        return asdict(self)
 
 
 def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
@@ -587,10 +587,12 @@ def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
         (1/T) int |Z_t|^2 dt = (1/(2 lam)) [ (F_T + conj(F_T)) / sqrt(T)
                                - (|Z_T|^2 - E|Z_T|^2) / T ] + (1/T) int E|Z_t|^2 dt
 
-    on a common set of raw increments: the path by the discrete convolution
-    recursion, F_T by the strict off-diagonal double Wiener sum (diagonal
-    terms are Ito-correction artifacts the continuous integral excludes).
-    The residual shrinks as the grid refines.
+    on a common set of raw increments dz.  One AR(1) recursion gives the path
+    at the left endpoints, Z_k = sum_{j<k} e^(-gamma (t_k - t_j)) dz_j, and F_T is
+    the strict off-diagonal double Wiener sum built from it,
+    F_T = sum_k dz_k conj(Z_k) / sqrt(T) (diagonal terms are Ito-correction
+    artifacts the continuous integral excludes).  The residual shrinks as the
+    grid refines.
     """
     if params.H != 0.5:
         raise ValueError("the identity check is implemented for the H = 1/2 branch")
@@ -598,28 +600,19 @@ def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
     T = params.T
     lam = params.lam
     dt = T / m
-    rng = _block_rng(seed, 0)
-    dz = sqrt(dt) * (rng.standard_normal((m, n_paths))
-                     + 1j * rng.standard_normal((m, n_paths))) / sqrt(2.0)
+    dz = sqrt(dt) * _complex_normal(_block_rng(seed, 0), (m, n_paths))
 
     a = np.exp(-params.gamma * dt)
-    # Z at left endpoints t_k = k dt: Z_k = sum_{j<k} e^(-gamma (t_k - t_j)) dz_j,
-    # so the recursion Z_k = a (Z_{k-1} + dz_{k-1}) gives rows Z_0 .. Z_{m-1};
-    # the terminal value Z_m is appended explicitly.
-    Zk = lfilter([0.0, a], [1.0, -a], dz, axis=0)
-    Z_last = a * (Zk[-1] + dz[-1])
-    Z_path = np.vstack([Zk, Z_last[None, :]])
+    # Z_{k+1} = a (Z_k + dz_k); row m is the terminal value
+    Z = np.array([np.zeros_like(dz[0]), *_ar1_rows(a, a * dz)])
+    F = np.sum(dz * np.conj(Z[:-1]), axis=0) / sqrt(T)
 
-    ab = np.exp(-np.conj(params.gamma) * dt)
-    u = lfilter([0.0, ab], [1.0, -ab], np.conj(dz), axis=0)
-    F = np.sum(dz * u, axis=0) / sqrt(T)
-
-    lhs = dt / T * np.sum(np.abs(Z_path[:-1]) ** 2, axis=0)
+    lhs = dt / T * np.sum(np.abs(Z[:-1]) ** 2, axis=0)
 
     var_T = (1.0 - exp(-2 * lam * T)) / (2 * lam)
     mean_part = 1.0 / (2 * lam) - (1.0 - exp(-2 * lam * T)) / (4 * lam**2 * T)
     rhs = (1.0 / (2 * lam)) * (2.0 * F.real / sqrt(T)
-                               - (np.abs(Z_path[-1]) ** 2 - var_T) / T) + mean_part
+                               - (np.abs(Z[-1]) ** 2 - var_T) / T) + mean_part
 
     resid = lhs - rhs
     scale = np.maximum(np.abs(lhs), 1e-12)

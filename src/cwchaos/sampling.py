@@ -133,6 +133,16 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Circular standard complex normals (E|Z|^2 = 1) of the given shape; all
+    real parts are drawn before all imaginary parts."""
+    parts = rng.standard_normal((2, *shape))
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts
+    out /= sqrt(2.0)
+    return out
+
+
 def _profiles(coeffs: np.ndarray, p: int, q: int, n: int):
     """Distinct sorted multi-index profiles with their coefficient and the count
     of raw index arrangements sharing them (symmetric kernels only)."""
@@ -175,8 +185,7 @@ def sample_chaos(F: ChaosVariable, N: int, seed: int) -> SampleBatch:
     for ib in range(n_blocks):
         lo, hi = ib * _BLOCK, min((ib + 1) * _BLOCK, N)
         nb = hi - lo
-        rng = _block_rng(seed, ib)
-        Z = (rng.standard_normal((n, nb)) + 1j * rng.standard_normal((n, nb))) / sqrt(2.0)
+        Z = _complex_normal(_block_rng(seed, ib), (n, nb))
         root2_z = sqrt(2.0) * Z
         memo: dict[tuple[int, int, int], np.ndarray] = {}
 

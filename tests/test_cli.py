@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cwchaos
 from cwchaos import cli
 from cwchaos.chaos import ChaosVariable, chaos_to_json
 from cwchaos.cli import main
@@ -73,6 +78,45 @@ def test_moments_nan_kernel(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "load_kernel",
                         lambda _: Kernel(sp, 1, 1, np.array([[np.nan, 1.0], [0.0, 0.0]])))
     assert main(["moments", str(path), "-o", str(tmp_path / "rep.json")]) == 3
+    # the report stays standard JSON: non-finite numbers are written as null
+    text = (tmp_path / "rep.json").read_text()
+    doc = json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+    assert doc["route_spread"] is None and doc["gap_v1"] is None
+
+
+def test_malformed_chaos_term_is_bad_input(tmp_path, capsys):
+    sp = SpaceSpec.orthonormal(2)
+    doc = chaos_to_json(ChaosVariable.from_kernel(Kernel.basis(sp, (0,), (1,))))
+    del doc["terms"][0]["kernel"]
+    path = tmp_path / "chaos.json"
+    path.write_text(json.dumps(doc))
+    assert main(["clt-check", str(path)]) == 2
+    assert "chaos term needs 'p', 'q' and 'kernel'" in capsys.readouterr().err
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"components": [doc, 7]}))
+    assert main(["circularity", str(vec)]) == 2
+
+
+def test_internal_fault_is_not_bad_input(files, monkeypatch):
+    # exit 2 means bad input; a bug inside the library propagates instead
+    def broken(*args, **kwargs):
+        raise TypeError("internal fault")
+
+    monkeypatch.setattr(cli, "moment_report", broken)
+    with pytest.raises(TypeError, match="internal fault"):
+        main(["moments", str(files / "k11.json")])
+
+
+def test_import_loads_no_scipy():
+    # scipy costs over a second to import; only exact_wasserstein_2d needs it,
+    # and it imports scipy.optimize when called
+    code = ("import sys, cwchaos; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(cwchaos.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_bound_kernel(files, tmp_path):

@@ -26,9 +26,11 @@ from cwchaos.ou import (
     simulate_path,
     triangular_quantities,
     verify_denominator_identity,
+    _ar1_rows,
     _fractional_quantities,
 )
-from cwchaos.space import Kernel, inner_product, norm_sq, reverse_conjugate
+from cwchaos.sampling import _block_rng, _complex_normal
+from cwchaos.space import Kernel, SpaceError, inner_product, norm_sq, reverse_conjugate
 
 
 # -- parameters and grids ---------------------------------------------------------
@@ -260,6 +262,19 @@ def test_fbm_inner_fractional_positive_norm(rng=np.random.default_rng(4)):
     assert val.real > 0
 
 
+def test_fbm_inner_rejects_non_midpoint_space():
+    # on Gauss-Legendre nodes the rebuilt midpoint cells gave 2.0155 for the
+    # constant kernel on [0, 2] at H = 1/2 (exact: 2) and 2.668 at H = 0.7 (2^1.4)
+    gl = GridSpec(m=8, rule="gauss-legendre-composite").space(2.0)
+    f = Kernel(gl, 1, 0, np.ones(8))
+    for H in (0.5, 0.7):
+        with pytest.raises(SpaceError):
+            fbm_inner(f, f, OUParams(lam=1.0, T=2.0, H=H))
+    mid = Kernel(GridSpec(m=8).space(2.0), 1, 0, np.ones(8))
+    assert fbm_inner(mid, mid, OUParams(lam=1.0, T=2.0, H=0.5)) == pytest.approx(2.0, rel=1e-12)
+    assert fbm_inner(mid, mid, OUParams(lam=1.0, T=2.0, H=0.7)) == pytest.approx(2.0**1.4, rel=1e-12)
+
+
 def test_fractional_quantities_match_brute_force():
     # tiny-grid reference evaluation of the Gram-paired contractions
     p = OUParams(lam=1.0, omega=0.4, T=2.0, H=0.7)
@@ -339,6 +354,25 @@ def test_sample_numerator_agrees_with_generic_sampler():
     assert v1 == pytest.approx(v2, abs=0.02)
 
 
+@pytest.mark.parametrize("m", [2, 3, 40])
+def test_sample_numerator_matches_dense_form_on_same_draws(m):
+    # rebuild every block's draws and evaluate dt sum_{i,j} K_ij Z_i conj(Z_j)
+    # (unit-weight draws on cells of weight dt) densely: pins the recursion,
+    # the band and the block seeding value by value
+    p = OUParams(lam=0.8, omega=0.6, T=4.0)
+    g = GridSpec(m=m)
+    N, seed = (1 << 16) + 300, 17
+    batch = sample_numerator(p, g, N=N, seed=seed)
+    assert f"block={1 << 16}" in batch.meta         # so N spans two blocks
+    got = batch.values
+    K = (numerator_kernel(p, g) * normalization_factor(p)).coeffs
+    dt = p.T / m
+    Z = np.concatenate([_complex_normal(_block_rng(seed, ib), (m, nb))
+                        for ib, nb in enumerate((1 << 16, 300))], axis=1)
+    dense = dt * np.sum(Z * (K @ np.conj(Z)), axis=0)
+    assert np.all(np.abs(got - dense) <= 1e-12 * np.abs(dense))
+
+
 def test_simulate_path_stationary_variance():
     p = OUParams(lam=1.0, omega=0.5, T=10.0)
     Z, eps = simulate_path(p, GridSpec(m=200), seed=9, n_paths=10_000)
@@ -358,10 +392,8 @@ def test_simulate_path_recursion_and_zero_noise():
         recon[k + 1] = a * recon[k] + eps[k]
     assert np.allclose(Z, recon, atol=1e-12)
     # zero innovations propagate to the zero path
-    silent = np.empty_like(Z)
-    silent[0] = 0.0
-    for k in range(g.m):
-        silent[k + 1] = a * silent[k]
+    silent = np.array(list(_ar1_rows(a, np.zeros((g.m, 3), dtype=complex))))
+    assert silent.shape == (g.m, 3)
     assert np.all(silent == 0.0)
 
 
