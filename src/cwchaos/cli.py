@@ -177,6 +177,8 @@ def cmd_ou_rate(args) -> int:
 
 def cmd_ou_verify(args) -> int:
     dts = [float(x) for x in args.dt.split(",")]
+    if args.check and len(dts) < 2:
+        raise ValueError("--assert needs at least two --dt spacings to compare residuals")
     params = OUParams(lam=args.lam, omega=args.omega, T=args.T)
     reports = []
     for dt in dts:
@@ -184,7 +186,7 @@ def cmd_ou_verify(args) -> int:
         reports.append(verify_denominator_identity(params, GridSpec(m=m), seed=args.seed,
                                                    n_paths=args.paths))
     _write(json.dumps([r.to_json() for r in reports], indent=2), args.output)
-    if args.check and len(reports) >= 2:
+    if args.check:
         means = [r.mean_abs_residual for r in reports]
         if any(b >= a for a, b in zip(means, means[1:])):
             print(f"residuals did not shrink across dt list: {means}", file=sys.stderr)

@@ -344,6 +344,8 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
     whose upper-bound exponent is 2(4H - 3) for H in (5/8, 3/4).
     """
     T_list = list(T_list)
+    if len(T_list) < 2:
+        raise ValueError("a regression slope needs at least two horizons")
     if any(t2 <= t1 for t1, t2 in zip(T_list, T_list[1:])):
         raise ValueError("T_list must be strictly increasing")
     rows = []
@@ -548,6 +550,8 @@ def simulate_path(params: OUParams, grid: GridSpec, seed: int, n_paths: int = 1)
     """
     if params.H != 0.5:
         raise ValueError("path simulation is implemented for the H = 1/2 branch")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     m = grid.m
     dt = params.T / m
     a = np.exp(-params.gamma * dt)
@@ -596,6 +600,8 @@ def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
     """
     if params.H != 0.5:
         raise ValueError("the identity check is implemented for the H = 1/2 branch")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     m = grid.m
     T = params.T
     lam = params.lam

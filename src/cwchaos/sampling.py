@@ -1,14 +1,14 @@
 """Monte Carlo sampling of chaos variables and empirical distance estimators.
 
-A chaos variable with symmetric kernels over an orthonormalized basis is
-sampled exactly in distribution through products of Hermite-Laguerre-Ito
-polynomials of i.i.d. circular standard complex Gaussians: an elementary
-basis tensor with per-index multiplicities (a_k, b_k) maps to
+A chaos variable is sampled exactly in distribution from i.i.d. circular
+standard complex Gaussians Z = (Z_1, ..., Z_n) through the Wick expansion
 
-    prod_k 2^{-(a_k + b_k)/2} H_{a_k, b_k}(sqrt(2) Z_k).
+    I_{p,q}(f) = sum_k (-1)^k k! C(p,k) C(q,k) <tr_k f, Z^(x)(p-k) (x) conj(Z)^(x)(q-k)>,
 
-Non-unit Gram weights are absorbed by rescaling coefficients to the
-orthonormalized basis e_k / sqrt(w_k) before sampling.
+with the symmetric coefficients rescaled to the orthonormalized basis
+e_k / sqrt(w_k), tr_k pairing k holomorphic with k antiholomorphic slots, and
+<., .> the bilinear pairing of the remaining slots.  Its one-mode case
+(n = 1, f = 1) is the Hermite-Laguerre-Ito polynomial 2^{-(p+q)/2} H_{p,q}(sqrt(2) Z).
 
 Random streams are counter-based (Philox) and split per fixed-size sample
 block, so batches are bit-reproducible for a given (seed, N, generator
@@ -18,8 +18,7 @@ version) independent of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from math import factorial, pi, sqrt
+from math import comb, factorial, pi, sqrt
 
 import numpy as np
 
@@ -106,23 +105,18 @@ def hermite_hl(p: int, q: int, z):
     if p < 0 or q < 0:
         raise ValueError("orders must be nonnegative")
     z = np.asarray(z, dtype=complex)
-    return _hermite_table(p, q, z)[p][q]
-
-
-def _hermite_table(pmax: int, qmax: int, z: np.ndarray):
-    """Full table H[a][b] for a <= pmax, b <= qmax via the two recurrences."""
     zbar = np.conj(z)
-    table = [[None] * (qmax + 1) for _ in range(pmax + 1)]
+    table = [[None] * (q + 1) for _ in range(p + 1)]
     table[0][0] = np.ones_like(z)
-    for a in range(pmax):
+    for a in range(p):
         table[a + 1][0] = z * table[a][0]  # the -2q term vanishes at q = 0
-    for b in range(qmax):
-        for a in range(pmax + 1):
+    for b in range(q):
+        for a in range(p + 1):
             step = zbar * table[a][b]
             if a >= 1:
                 step = step - 2 * a * table[a - 1][b]
             table[a][b + 1] = step
-    return table
+    return table[p][q]
 
 
 # -- chaos sampler -------------------------------------------------------------------
@@ -143,30 +137,37 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
-def _profiles(coeffs: np.ndarray, p: int, q: int, n: int):
-    """Distinct sorted multi-index profiles with their coefficient and the count
-    of raw index arrangements sharing them (symmetric kernels only)."""
-    out = []
-    for holo in combinations_with_replacement(range(n), p):
-        for anti in combinations_with_replacement(range(n), q):
-            c = coeffs[holo + anti]
-            if c == 0:
-                continue
-            counts: dict[int, list[int]] = {}
-            for k in holo:
-                counts.setdefault(k, [0, 0])[0] += 1
-            for k in anti:
-                counts.setdefault(k, [0, 0])[1] += 1
-            mult = factorial(p) * factorial(q)
-            for a_k, b_k in counts.values():
-                mult //= factorial(a_k) * factorial(b_k)
-            # distinct orderings: p! q! / prod a_k! b_k! -- computed exactly above
-            out.append((c, mult, tuple(sorted((k, a, b) for k, (a, b) in counts.items()))))
+def _wick_term(coeffs: np.ndarray, p: int, q: int, Z: np.ndarray) -> np.ndarray:
+    """I_{p,q} of symmetric orthonormal-basis coefficients on draws Z (n x nb):
+    sum_k (-1)^k k! C(p,k) C(q,k) <tr_k coeffs, Z^(x)(p-k) (x) conj(Z)^(x)(q-k)>.
+
+    Columns go in slices of ``width`` so the n^(p+q-1) x width temporary of the
+    first contraction stays near 2^20 entries.
+    """
+    n, nb = Z.shape
+    width = max(1, (1 << 20) // n ** (p + q - 1))
+    Zc = np.conj(Z)
+    out = np.zeros(nb, dtype=complex)
+    t = coeffs
+    for k in range(min(p, q) + 1):
+        if k:
+            t = np.trace(t, axis1=0, axis2=p - k + 1)  # first holo slot with first anti slot
+        factor = (-1) ** k * factorial(k) * comb(p, k) * comb(q, k)
+        slots = [Z] * (p - k) + [Zc] * (q - k)
+        if not slots:
+            out += factor * t
+            continue
+        for lo in range(0, nb, width):
+            cols = slice(lo, lo + width)
+            v = np.tensordot(t, slots[0][:, cols], axes=(0, 0))
+            for X in slots[1:]:
+                v = np.einsum("i...b,ib->...b", v, X[:, cols])
+            out[cols] += factor * v
     return out
 
 
 def sample_chaos(F: ChaosVariable, N: int, seed: int) -> SampleBatch:
-    """Exact-in-distribution samples of F through the Fourier-Hermite expansion.
+    """Exact-in-distribution samples of F through the Wick expansion of each term.
 
     E and E|.|^2 of the batch converge to expectation(F) and the isometry
     variance at the usual N^(-1/2) Monte Carlo rate.
@@ -174,35 +175,16 @@ def sample_chaos(F: ChaosVariable, N: int, seed: int) -> SampleBatch:
     if N < 1:
         raise ValueError("N must be >= 1")
     n = F.space.n
-    prepared = []
-    for (p, q), kern in F.terms.items():
-        # coefficients in the orthonormalized basis e_k / sqrt(w_k)
-        coeffs = _apply_weights(kern.coeffs, np.sqrt(kern.space.weights), range(kern.degree))
-        prepared.append((p, q, _profiles(coeffs, p, q, n)))
-
+    # coefficients in the orthonormalized basis e_k / sqrt(w_k)
+    prepared = [(p, q, _apply_weights(kern.coeffs, np.sqrt(kern.space.weights), range(p + q)))
+                for (p, q), kern in F.terms.items()]
     values = np.empty(N, dtype=complex)
-    n_blocks = (N + _BLOCK - 1) // _BLOCK
-    for ib in range(n_blocks):
-        lo, hi = ib * _BLOCK, min((ib + 1) * _BLOCK, N)
-        nb = hi - lo
-        Z = _complex_normal(_block_rng(seed, ib), (n, nb))
-        root2_z = sqrt(2.0) * Z
-        memo: dict[tuple[int, int, int], np.ndarray] = {}
-
-        def hl(a: int, b: int, k: int) -> np.ndarray:
-            key = (a, b, k)
-            if key not in memo:
-                memo[key] = hermite_hl(a, b, root2_z[k])
-            return memo[key]
-
-        block = np.full(nb, F.constant, dtype=complex)
-        for p, q, profiles in prepared:
-            for coef, mult, counts in profiles:
-                term = np.full(nb, coef * mult, dtype=complex)
-                for k, a, b in counts:
-                    term *= 2.0 ** (-(a + b) / 2.0) * hl(a, b, k)
-                block += term
-        values[lo:hi] = block
+    for ib, lo in enumerate(range(0, N, _BLOCK)):
+        Z = _complex_normal(_block_rng(seed, ib), (n, min(_BLOCK, N - lo)))
+        block = np.full(Z.shape[1], F.constant, dtype=complex)
+        for p, q, coeffs in prepared:
+            block += _wick_term(coeffs, p, q, Z)
+        values[lo:lo + Z.shape[1]] = block
     meta = f"sample_chaos seed={seed} N={N} version={GENERATOR_VERSION}"
     return SampleBatch(values=values, seed=seed, meta=meta)
 

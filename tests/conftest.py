@@ -4,11 +4,13 @@ oracles for the fast paths."""
 from __future__ import annotations
 
 import itertools
+from math import factorial, sqrt
 
 import numpy as np
 import pytest
 
-from cwchaos.space import Kernel, SpaceSpec, symmetrize
+from cwchaos.sampling import hermite_hl
+from cwchaos.space import Kernel, SpaceSpec, _apply_weights, symmetrize
 
 
 @pytest.fixture
@@ -58,3 +60,45 @@ def contract_reference(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
                 total += f_val * g_val * weight
         out[free] = total
     return Kernel(f.space, P, Q, out)
+
+
+def _profiles(coeffs: np.ndarray, p: int, q: int, n: int):
+    """Distinct sorted multi-index profiles with their coefficient and the count
+    of raw index arrangements sharing them (symmetric kernels only)."""
+    out = []
+    for holo in itertools.combinations_with_replacement(range(n), p):
+        for anti in itertools.combinations_with_replacement(range(n), q):
+            c = coeffs[holo + anti]
+            if c == 0:
+                continue
+            counts: dict[int, list[int]] = {}
+            for k in holo:
+                counts.setdefault(k, [0, 0])[0] += 1
+            for k in anti:
+                counts.setdefault(k, [0, 0])[1] += 1
+            # distinct orderings: p! q! / prod a_k! b_k!
+            mult = factorial(p) * factorial(q)
+            for a_k, b_k in counts.values():
+                mult //= factorial(a_k) * factorial(b_k)
+            out.append((c, mult, sorted((k, a, b) for k, (a, b) in counts.items())))
+    return out
+
+
+def profile_sample(F, Z: np.ndarray) -> np.ndarray:
+    """F evaluated on draws Z (n x nb) by the index-profile Hermite expansion;
+    the oracle for the sampler's Wick contractions.
+
+    Each sorted profile of a term, with per-index multiplicities (a_k, b_k),
+    contributes its coefficient in the orthonormalized basis e_k / sqrt(w_k)
+    times its arrangement count times prod_k 2^{-(a_k + b_k)/2} H_{a_k, b_k}(sqrt(2) Z_k).
+    """
+    n, nb = Z.shape
+    out = np.full(nb, F.constant, dtype=complex)
+    for (p, q), kern in F.terms.items():
+        coeffs = _apply_weights(kern.coeffs, np.sqrt(kern.space.weights), range(p + q))
+        for coef, mult, counts in _profiles(coeffs, p, q, n):
+            term = np.full(nb, coef * mult, dtype=complex)
+            for k, a, b in counts:
+                term *= 2.0 ** (-(a + b) / 2.0) * hermite_hl(a, b, sqrt(2.0) * Z[k])
+            out += term
+    return out

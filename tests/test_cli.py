@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cwchaos
-from cwchaos import cli
+from cwchaos import chaos, cli
 from cwchaos.chaos import ChaosVariable, chaos_to_json
 from cwchaos.cli import main
 from cwchaos.space import Kernel, SpaceSpec, kernel_to_json, save_kernel
@@ -63,6 +63,16 @@ def test_moments_first_chaos_gap_zero(files, tmp_path):
 
 def test_moments_missing_file(tmp_path):
     assert main(["moments", str(tmp_path / "nope.json")]) == 2
+
+
+def test_moments_route_caps_dense_products(tmp_path, monkeypatch, capsys):
+    # a 10^4-entry (2,2) kernel at n = 10 would need 10^8-entry product terms
+    path = tmp_path / "k22.json"
+    rng = np.random.default_rng(5)
+    save_kernel(Kernel(SpaceSpec.orthonormal(10), 2, 2, rng.standard_normal(10 ** 4)), path)
+    monkeypatch.setattr(chaos, "multiply", lambda *a, **k: pytest.fail("multiplied past the cap"))
+    assert main(["moments", str(path)]) == 2
+    assert "cap" in capsys.readouterr().err
 
 
 def test_moments_nan_kernel(tmp_path, monkeypatch):
@@ -220,6 +230,21 @@ def test_ou_verify_assert(tmp_path):
     docs = json.loads(out.read_text())
     assert len(docs) == 2
     assert docs[1]["mean_abs_residual"] < docs[0]["mean_abs_residual"]
+
+
+def test_ou_sweeps_need_two_points(monkeypatch, capsys):
+    # one horizon gives no regression slope; one spacing gives nothing to assert
+    assert main(["ou-rate", "--T", "50", "--dt", "0.1", "--assert"]) == 2
+    assert "two horizons" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "verify_denominator_identity",
+                        lambda *a, **k: pytest.fail("verified before validating"))
+    assert main(["ou-verify", "--dt", "0.1", "--assert"]) == 2
+    assert "--dt" in capsys.readouterr().err
+
+
+def test_ou_verify_rejects_zero_paths(capsys):
+    assert main(["ou-verify", "--dt", "0.1", "--paths", "0"]) == 2
+    assert "n_paths" in capsys.readouterr().err
 
 
 def test_ou_sample(tmp_path):

@@ -222,8 +222,12 @@ def test_clt_condition_entries_decay_for_numerator_family():
 def test_rate_sweep_validates_inputs():
     with pytest.raises(ValueError):
         rate_sweep(OUParams(lam=1.0, T=1.0), [100, 50], dt=0.1)
-    with pytest.raises(ValueError):
-        rate_sweep(OUParams(lam=1.0, T=1.0), [0.05], dt=0.1)
+    with pytest.raises(ValueError, match="fewer than 2 nodes"):
+        rate_sweep(OUParams(lam=1.0, T=1.0), [0.05, 1.0], dt=0.1)
+    # a slope needs two points: one horizon, or none, is bad input
+    for T_list in ([50.0], []):
+        with pytest.raises(ValueError, match="two horizons"):
+            rate_sweep(OUParams(lam=1.0, T=1.0), T_list, dt=0.1)
 
 
 # -- fractional branch ---------------------------------------------------------------------------
@@ -409,6 +413,15 @@ def test_simulate_path_modulus_law_rotation_invariant():
 def test_simulate_path_rejects_fractional():
     with pytest.raises(ValueError):
         simulate_path(OUParams(lam=1.0, T=1.0, H=0.7), GridSpec(m=10), seed=0)
+
+
+def test_path_samplers_need_a_path():
+    p = OUParams(lam=1.0, T=2.0)
+    for n_paths in (0, -1):
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate_path(p, GridSpec(m=10), seed=0, n_paths=n_paths)
+        with pytest.raises(ValueError, match="n_paths"):
+            verify_denominator_identity(p, GridSpec(m=10), seed=0, n_paths=n_paths)
 
 
 def test_denominator_identity_refines():

@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from cwchaos.chaos import ChaosVariable, moment
 from cwchaos.sampling import (
+    _BLOCK,
     GaussianTarget,
+    _block_rng,
+    _complex_normal,
     exact_wasserstein_2d,
     hermite_hl,
     sample_chaos,
@@ -20,7 +23,7 @@ from cwchaos.sampling import (
 )
 from cwchaos.space import Kernel, SpaceSpec
 
-from conftest import random_kernel, random_space
+from conftest import profile_sample, random_kernel, random_space
 
 
 # -- the generating-function oracle -----------------------------------------------
@@ -173,6 +176,36 @@ def test_sampler_validates_n(rng):
     F = ChaosVariable.from_kernel(Kernel.basis(sp, (0,), ()))
     with pytest.raises(ValueError):
         sample_chaos(F, 0, seed=1)
+
+
+# (orders, n, N, constant): every order 1 <= p + q <= 4, a mixed chaos with a
+# constant, n = 1, a batch over two RNG blocks, and (2,1) at n = 40, whose
+# column slice of 2^20 // 40^2 = 655 samples is shorter than the batch
+ORACLE_CASES = (
+    [(((p, total - p),), 3, 257, 0.0) for total in range(1, 5) for p in range(total, -1, -1)]
+    + [
+        (((1, 0), (0, 2), (1, 1), (2, 1), (2, 2)), 3, 257, 0.7 - 0.4j),
+        (((2, 2),), 1, 257, 0.0),
+        (((1, 1),), 2, _BLOCK + 300, 0.0),
+        (((2, 1),), 40, 700, 0.0),
+    ]
+)
+
+
+@pytest.mark.parametrize("orders, n, N, constant", ORACLE_CASES, ids=[
+    "+".join(f"{p}{q}" for p, q in orders) + f"-n{n}-N{N}" for orders, n, N, _ in ORACLE_CASES])
+def test_sample_chaos_matches_profile_oracle_on_same_draws(orders, n, N, constant, rng):
+    # rebuild every block's draws and evaluate F on them by the index-profile
+    # Hermite expansion: pins the Wick signs and counts, the orthonormalized
+    # weights, the column slices and the block seeding value by value
+    sp = random_space(rng, n, weighted=True)
+    F = ChaosVariable(sp, {pq: random_kernel(rng, sp, *pq) for pq in orders}, constant)
+    seed = 29
+    got = sample_chaos(F, N, seed).values
+    Z = np.concatenate([_complex_normal(_block_rng(seed, ib), (n, min(_BLOCK, N - lo)))
+                        for ib, lo in enumerate(range(0, N, _BLOCK))], axis=1)
+    ref = profile_sample(F, Z)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-13)
 
 
 # -- Gaussian reference sampler ----------------------------------------------------------
