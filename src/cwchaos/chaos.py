@@ -27,6 +27,7 @@ from math import comb, factorial, isfinite, isnan, nan
 import numpy as np
 
 from .space import (
+    ENTRY_CAP,
     Kernel,
     SpaceError,
     SpaceSpec,
@@ -43,7 +44,6 @@ from .space import (
 
 __all__ = [
     "DEGREE_CAP",
-    "MOMENTS_ENTRY_CAP",
     "DegreeCapError",
     "ChaosVariable",
     "ChaosVector",
@@ -69,10 +69,6 @@ DEGREE_CAP = 8
 #: Product terms with norm below PRUNE_TOL * (operand scale) are dropped;
 #: pass prune=False to multiply() where exactness of zeros matters.
 PRUNE_TOL = 1e-14
-
-#: Largest n^(2(p+q)) the "moments" gap route may form: its product terms are
-#: dense arrays of that many complex entries (2^24 of them take 256 MB).
-MOMENTS_ENTRY_CAP = 1 << 24
 
 
 class DegreeCapError(ValueError):
@@ -300,7 +296,7 @@ def fourth_gap(f: Kernel, route: str = "v1", degree_cap: int = DEGREE_CAP) -> fl
     Routes:
 
     * ``"moments"`` -- product-formula moment engine (needs 2 (p+q) <= degree_cap
-      and n^(2(p+q)) <= ``MOMENTS_ENTRY_CAP``);
+      and n^(2(p+q)) <= ``space.ENTRY_CAP``, checked before any product);
     * ``"v1"`` -- contraction sum over f (x)_{i,j} h plus the phi_r groups, the
       f_1 = f_2 case of :func:`cov_abs_sq`'s groups;
     * ``"v2"`` -- contraction sum over f (x)_{i,j} f plus the psi_r groups.
@@ -314,9 +310,9 @@ def fourth_gap(f: Kernel, route: str = "v1", degree_cap: int = DEGREE_CAP) -> fl
     if l < 1:
         raise SpaceError("fourth_gap needs p + q >= 1")
     if route == "moments":
-        if f.space.n ** (2 * l) > MOMENTS_ENTRY_CAP:
+        if f.space.n ** (2 * l) > ENTRY_CAP:
             raise DegreeCapError(f"the moments route needs n^(2(p+q)) = {f.space.n ** (2 * l)}"
-                                 f" entries, above the cap {MOMENTS_ENTRY_CAP}")
+                                 f" entries, above the cap {ENTRY_CAP}")
         F = ChaosVariable.from_kernel(f)
         F2 = multiply(F, F, degree_cap=degree_cap, prune=False)
         e4 = pairing_expectation(F2, F2).real

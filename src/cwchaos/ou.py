@@ -12,8 +12,11 @@ On the standard-Brownian branch (H = 1/2) the sweep uses O(m) prefix-sum
 evaluations that exploit the exponential Toeplitz structure, so horizons with
 tens of thousands of nodes stay cheap; a dense-kernel cross-check at small m
 lives in the test suite.  The fractional branch (1/2 < H < 3/4) replaces the
-diagonal Gram by the full two-time Gram matrix with cell-exact integration of
-the |u - v|^{2H-2} singularity.
+diagonal Gram by the full two-time Gram matrix G with cell-exact integration of
+the |u - v|^{2H-2} singularity.  Its sweep whitens the kernel: with
+G = L L^T (Cholesky), L^T K L on the orthonormal space has every inner product
+and contraction that K has under G, so the branch runs the library's own
+moment, gap and contraction routes, and all three gap routes cross-check it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from math import exp, isfinite, sqrt
 
 import numpy as np
 
-from .bounds import _circular_bound
+from .bounds import _circular_bound, fmt_norms
+from .chaos import _second_moments, fourth_gap, third_moments_closed
 from .sampling import GENERATOR_VERSION, SampleBatch, _block_rng, _complex_normal
 from .space import Kernel, SpaceError, SpaceSpec
 
@@ -96,6 +100,16 @@ class GridSpec:
             raise ValueError(f"unknown rule {self.rule!r}")
         if self.rule == "gauss-legendre-composite" and self.m % 2:
             raise ValueError("composite Gauss-Legendre needs an even node count")
+
+    @classmethod
+    def from_spacing(cls, T: float, dt: float) -> "GridSpec":
+        """Midpoint grid on [0, T] with round(T / dt) nodes."""
+        if not (isfinite(dt) and dt > 0):
+            raise ValueError(f"grid spacing must be positive and finite, got {dt}")
+        m = int(round(T / dt))
+        if m < 2:
+            raise ValueError(f"grid spacing {dt} leaves fewer than 2 nodes at T = {T}")
+        return cls(m=m)
 
     def nodes_weights(self, T: float) -> tuple[np.ndarray, np.ndarray]:
         if self.rule == "midpoint":
@@ -350,24 +364,18 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
         raise ValueError("T_list must be strictly increasing")
     rows = []
     for T in T_list:
-        m = int(round(T / dt))
-        if m < 2:
-            raise ValueError(f"grid spacing {dt} leaves fewer than 2 nodes at T = {T}")
+        grid = GridSpec.from_spacing(T, dt)
         params = replace(base, T=T)
         if base.H == 0.5:
-            tq = triangular_quantities(params, m)
+            tq = triangular_quantities(params, grid.m)
             quantity = tq.gap_v1 + tq.pseudo**2
             be_circ = _circular_bound(tq.var, quantity, 2)  # F_T = I_{1,1}: order 2
-            rows.append(RateRow(T=T, m=m, var=tq.var, gap=tq.gap_v1,
+            rows.append(RateRow(T=T, m=grid.m, var=tq.var, gap=tq.gap_v1,
                                 e3_mixed=tq.e3_mixed_abs, e3=tq.e3_abs,
                                 fmt_10_sq=tq.fmt_10_sq, fmt_01_sq=tq.fmt_01_sq,
                                 be_upper_circular=be_circ))
         else:
-            fq = _fractional_quantities(params, GridSpec(m=m))
-            rows.append(RateRow(T=T, m=m, var=fq["var"], gap=fq["gap"],
-                                e3_mixed=fq["e3_mixed"], e3=fq["e3"],
-                                fmt_10_sq=fq["fmt_10_sq"], fmt_01_sq=fq["fmt_01_sq"],
-                                be_upper_circular=fq["be_circ"]))
+            rows.append(_whitened_row(params, grid))
     slope_gap = _loglog_slope([r.T for r in rows], [r.gap for r in rows])
     slope_mixed = None
     if all(r.e3_mixed > 0 for r in rows):
@@ -429,61 +437,34 @@ def fbm_inner(f: Kernel, g: Kernel, params: OUParams) -> complex:
     return complex(np.sum(out * np.conj(g.coeffs)))
 
 
-def _trace_prod(M: np.ndarray, N_t: np.ndarray) -> complex:
-    """Tr(M N) given N transposed, without forming the product."""
-    return complex(np.sum(M * N_t))
-
-
-def _fractional_quantities(params: OUParams, grid: GridSpec) -> dict:
-    """Gap and third-moment quantities of the variance-normalized numerator
-    statistic under the fractional Gram, via dense matrix products.
-
-    The kernel is ``numerator_kernel``'s, so at H = 1/2 it carries the
-    subdiagonal band.  Uses Tr(M N) = sum(M * N') to avoid forming trace
-    products, and reuses G K / K G; about eleven m x m multiplications in total.
+def _whitened_kernel(params: OUParams, grid: GridSpec) -> Kernel:
+    """``numerator_kernel`` K under the fractional Gram G = ``fbm_gram`` = L L^T
+    (Cholesky), whitened to L^T K L on the orthonormal space.  Since
+    (L^T K L)(L^T K' L) = L^T (K G K') L, the whitened kernel has under the
+    plain inner product every inner product and contraction that K has under G.
     """
+    L = np.linalg.cholesky(fbm_gram(params, grid))
     K = numerator_kernel(params, grid).coeffs
-    G = fbm_gram(params, grid)
+    # L is real, so real and imaginary parts take real products (half the flops)
+    return Kernel(SpaceSpec.orthonormal(grid.m), 1, 1,
+                  L.T @ K.real @ L + 1j * (L.T @ K.imag @ L))
 
-    GK = G @ K
-    KG = K @ G
 
-    def gram_norm_sq(A: np.ndarray) -> float:
-        # ||A||^2 = Tr(G A G A^H) = Tr((G A)(G A^H)); (G A^H)' = conj(A G)
-        return float(_trace_prod(G @ A, np.conj(A @ G)).real)
-
-    var = float(_trace_prod(GK, np.conj(KG)).real)        # Tr(G K G K^H)
-    pseudo = _trace_prod(GK, GK.T)                        # Tr(G K G K)
-    M1 = np.conj(GK).T @ K                                # K^H G K
-    m1_sq = gram_norm_sq(M1)
-    del M1
-    M2 = KG @ np.conj(K).T                                # K G K^H
-    m2_sq = gram_norm_sq(M2)
-    del M2
-    C = K @ GK                                            # K G K
-    GC = G @ C
-    c_sq = float(_trace_prod(GC, np.conj(C @ G)).real)
-    e21 = 2.0 * _trace_prod(GC, np.conj(KG))              # 2 Tr(G C G K^H)
-    e3 = 2.0 * _trace_prod(GC, GK.T)                      # 2 Tr(G C G K)
-    del C, GC
-
-    gap_raw = m1_sq + m2_sq + 4.0 * c_sq
-    # normalize to unit variance: gap is quartic, third moments cubic
-    gap = gap_raw / var**2
-    e3_mixed = abs(e21) / var**1.5
-    e3_abs = abs(e3) / var**1.5
+def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:
+    """Sweep row under the fractional Gram from the library's moment, gap and
+    contraction routes on the whitened kernel: ``var`` is the raw variance, the
+    other fields are those of the statistic scaled to unit variance."""
+    f = _whitened_kernel(params, grid)
+    var, pseudo = _second_moments(f)
+    third, third_mixed = third_moments_closed(f)
+    norms = fmt_norms(f)
+    # normalize to unit variance: the gap is quartic, third moments cubic
+    gap = fourth_gap(f, "v1") / var**2
     quantity = gap + (abs(pseudo) / var) ** 2
-    be_circ = _circular_bound(1.0, quantity, 2)  # unit variance, order 2
-    return {
-        "var": var,
-        "pseudo": pseudo,
-        "gap": gap,
-        "e3_mixed": e3_mixed,
-        "e3": e3_abs,
-        "be_circ": be_circ,
-        "fmt_10_sq": m1_sq / var**2,
-        "fmt_01_sq": m2_sq / var**2,
-    }
+    return RateRow(T=params.T, m=grid.m, var=var, gap=gap,
+                   e3_mixed=abs(third_mixed) / var**1.5, e3=abs(third) / var**1.5,
+                   fmt_10_sq=norms[1, 0] ** 2 / var**2, fmt_01_sq=norms[0, 1] ** 2 / var**2,
+                   be_upper_circular=_circular_bound(1.0, quantity, 2))  # unit variance, order 2
 
 
 # -- exact-in-law sampling of the numerator statistic -----------------------------------

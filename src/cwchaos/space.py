@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ENTRY_CAP",
     "SpaceSpec",
     "Kernel",
     "inner_product",
@@ -42,6 +43,11 @@ __all__ = [
     "save_kernel",
     "load_kernel",
 ]
+
+
+#: Largest number of complex entries n^(degree) a contraction may form (2^24
+#: of them take 256 MB); the "moments" gap route checks its products against it.
+ENTRY_CAP = 1 << 24
 
 
 class SpaceError(ValueError):
@@ -193,6 +199,10 @@ class Kernel:
 
 def _apply_weights(arr: np.ndarray, weights: np.ndarray, axes) -> np.ndarray:
     """Multiply one weight factor along each of the given axes."""
+    # x * 1.0 == x exactly, so unit weights return arr; a list count costs far
+    # less than a numpy reduction over the few weights of a small kernel
+    if weights.tolist().count(1.0) == len(weights):
+        return arr
     out = arr
     for ax in axes:
         shape = [1] * out.ndim
@@ -263,7 +273,8 @@ def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     last j holomorphic slots of g, with one weight factor per contracted pair.
 
     Returns a kernel with blocks (f.p + g.p - i - j, f.q + g.q - i - j); ``i = j = 0``
-    is the plain tensor product.
+    is the plain tensor product.  Raises SpaceError, before any array is formed,
+    when the output would have more than ``ENTRY_CAP`` entries.
     """
     if not f.space.same_as(g.space):
         raise SpaceError("kernels live on different spaces")
@@ -273,6 +284,9 @@ def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     if not (0 <= j <= min(b, c)):
         raise SpaceError(f"j = {j} out of range [0, min({b}, {c})]")
 
+    size = f.space.n ** (a + b + c + d - 2 * (i + j))
+    if size > ENTRY_CAP:
+        raise SpaceError(f"contraction output needs {size} entries, above the cap {ENTRY_CAP}")
     f_axes = list(range(a - i, a)) + list(range(a + b - j, a + b))
     g_axes = list(range(c + d - i, c + d)) + list(range(c - j, c))
     fw = _apply_weights(f.coeffs, f.space.weights, f_axes)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cwchaos
-from cwchaos import chaos, cli
+from cwchaos import chaos, cli, space
 from cwchaos.chaos import ChaosVariable, chaos_to_json
 from cwchaos.cli import main
 from cwchaos.space import Kernel, SpaceSpec, kernel_to_json, save_kernel
@@ -72,6 +72,16 @@ def test_moments_route_caps_dense_products(tmp_path, monkeypatch, capsys):
     save_kernel(Kernel(SpaceSpec.orthonormal(10), 2, 2, rng.standard_normal(10 ** 4)), path)
     monkeypatch.setattr(chaos, "multiply", lambda *a, **k: pytest.fail("multiplied past the cap"))
     assert main(["moments", str(path)]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_closed_routes_cap_contractions(tmp_path, monkeypatch, capsys):
+    # the "v1" gap of a (2,2) kernel at n = 20 contracts to 20^6 = 6.4e7 entries
+    path = tmp_path / "k22.json"
+    rng = np.random.default_rng(6)
+    save_kernel(Kernel(SpaceSpec.orthonormal(20), 2, 2, rng.standard_normal(20 ** 4)), path)
+    monkeypatch.setattr(space.np, "tensordot", lambda *a, **k: pytest.fail("contracted past the cap"))
+    assert main(["bound", "--kernel", str(path)]) == 2
     assert "cap" in capsys.readouterr().err
 
 
@@ -245,6 +255,18 @@ def test_ou_sweeps_need_two_points(monkeypatch, capsys):
 def test_ou_verify_rejects_zero_paths(capsys):
     assert main(["ou-verify", "--dt", "0.1", "--paths", "0"]) == 2
     assert "n_paths" in capsys.readouterr().err
+
+
+def test_ou_commands_reject_bad_spacing(tmp_path, capsys):
+    # a spacing that is not positive and finite is bad input, not a division by zero
+    out = str(tmp_path / "ou.csv")
+    cases = [["ou-rate", "--T", "10,20", "--dt", "0"],
+             ["ou-sample", "--T", "5", "--dt", "0", "-N", "10", "-o", out],
+             ["ou-verify", "--T", "5", "--dt", "0,0.1"]]
+    cases += [["ou-rate", "--T", "10,20", "--dt", dt] for dt in ("-0.1", "nan", "inf")]
+    for argv in cases:
+        assert main(argv) == 2
+        assert "positive and finite" in capsys.readouterr().err
 
 
 def test_ou_sample(tmp_path):

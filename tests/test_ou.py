@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+from dataclasses import asdict, replace
 from math import exp, sqrt
 
 import numpy as np
 import pytest
 
 from cwchaos.bounds import fmt_norms
-from cwchaos.chaos import fourth_gap, third_moments_closed
+from cwchaos.chaos import fourth_gap, moment_report, third_moments_closed
 from cwchaos.ou import (
     DenominatorReport,
     GridSpec,
@@ -27,7 +27,8 @@ from cwchaos.ou import (
     triangular_quantities,
     verify_denominator_identity,
     _ar1_rows,
-    _fractional_quantities,
+    _whitened_kernel,
+    _whitened_row,
 )
 from cwchaos.sampling import _block_rng, _complex_normal
 from cwchaos.space import Kernel, SpaceError, inner_product, norm_sq, reverse_conjugate
@@ -309,7 +310,7 @@ def test_fractional_quantities_match_brute_force():
     gap = (inner(M1, M1) + inner(M2, M2) + 4 * inner(C, C)).real / var**2
     e21 = abs(2 * inner(C, K)) / var**1.5
 
-    got = _fractional_quantities(p, g)
+    got = asdict(_whitened_row(p, g))
     assert got["var"] == pytest.approx(var, rel=1e-12)
     assert got["gap"] == pytest.approx(gap, rel=1e-12)
     assert got["e3_mixed"] == pytest.approx(e21, rel=1e-12)
@@ -317,11 +318,24 @@ def test_fractional_quantities_match_brute_force():
 
 def test_fractional_standard_branch_matches_structured():
     p = OUParams(lam=1.0, omega=0.2, T=6.0, H=0.5)
-    fq = _fractional_quantities(p, GridSpec(m=100))
+    fq = asdict(_whitened_row(p, GridSpec(m=100)))
     tq = triangular_quantities(p, 100, normalized=False)
     assert fq["var"] == pytest.approx(tq.var, rel=1e-12)
     assert fq["gap"] == pytest.approx(tq.gap_v1 / tq.var**2, rel=1e-11)
     assert fq["e3_mixed"] == pytest.approx(tq.e3_mixed_abs / tq.var**1.5, rel=1e-11)
+
+
+def test_whitened_kernel_three_routes_and_gram():
+    # the whitened kernel runs every gap route, and its second moments are the
+    # slotwise-Gram pairings of the unwhitened numerator kernel
+    for H, m in itertools.product((0.6, 0.7), (5, 12, 30)):
+        p = OUParams(lam=1.0, omega=0.5, T=3.0, H=H)
+        g = GridSpec(m=m)
+        rep = moment_report(_whitened_kernel(p, g))
+        assert rep.route_spread() <= 1e-12
+        K = numerator_kernel(p, g)
+        assert rep.var_abs == pytest.approx(fbm_inner(K, K, p), rel=1e-12)
+        assert abs(rep.pseudo - fbm_inner(K, reverse_conjugate(K), p)) <= 1e-12 * rep.var_abs
 
 
 # -- sampling, paths, and the pathwise identity ----------------------------------------------------

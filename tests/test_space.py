@@ -12,6 +12,7 @@ from cwchaos.space import (
     Kernel,
     SpaceError,
     SpaceSpec,
+    _apply_weights,
     contract,
     inner_product,
     kernel_from_json,
@@ -115,6 +116,15 @@ def test_inner_product_quadrature_matches_closed_form():
     K = Kernel(sp, 1, 1, vals)
     closed = 1 / (2 * lam) + math.exp(-2 * lam * T) / (4 * lam**2 * T) - 1 / (4 * lam**2 * T)
     assert inner_product(K, K).real == pytest.approx(closed, rel=2e-2)
+
+
+def test_apply_weights_skips_only_unit_weights():
+    # unit weights return the array itself (x * 1.0 == x); a space with some
+    # unit weights still weighs every slot
+    arr = np.ones((2, 2), dtype=complex)
+    assert _apply_weights(arr, np.ones(2), (0, 1)) is arr
+    sp = SpaceSpec(2, weights=np.array([1.0, 2.0]))
+    assert norm_sq(Kernel.basis(sp, (1,), (1,))) == 4.0
 
 
 # -- symmetrize ------------------------------------------------------------------------
