@@ -32,7 +32,6 @@ from .space import (
 from .chaos import (
     ChaosVariable,
     ChaosVector,
-    DegreeCapError,
     MomentReport,
     conjugate,
     cov_abs_sq,

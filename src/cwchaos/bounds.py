@@ -159,7 +159,7 @@ def be_upper_circular(f: Kernel, circular_tol: float = CIRCULAR_TOL) -> float:
     f = symmetrize(f)
     inputs = BoundInputs.from_kernel(f)
     pseudo_mag = sqrt(inputs.a ** 2 + inputs.b ** 2)
-    if pseudo_mag > circular_tol * inputs.sigma_sq:
+    if not pseudo_mag <= circular_tol * inputs.sigma_sq:  # NaN fails
         raise NonCircularError(
             f"|E F^2| = {pseudo_mag:.3e} exceeds tolerance "
             f"{circular_tol:.1e} * sigma^2 = {circular_tol * inputs.sigma_sq:.3e}"
@@ -333,7 +333,7 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
 
     pseudo_max = float(np.max(np.abs(summary.pseudo)))
     scale = float(np.max(np.abs(np.diagonal(summary.sigma))))
-    if pseudo_max > circular_tol * scale:
+    if not pseudo_max <= circular_tol * scale:  # NaN fails
         raise NonCircularError(
             f"max |E F^j F^r| = {pseudo_max:.3e} exceeds {circular_tol:.1e} * {scale:.3e}"
         )

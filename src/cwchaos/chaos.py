@@ -31,11 +31,11 @@ from .space import (
     Kernel,
     SpaceError,
     SpaceSpec,
+    _json_int,
     contract,
     inner_product,
     kernel_from_json,
     kernel_to_json,
-    norm,
     norm_sq,
     reverse_conjugate,
     sym_contract,
@@ -43,8 +43,6 @@ from .space import (
 )
 
 __all__ = [
-    "DEGREE_CAP",
-    "DegreeCapError",
     "ChaosVariable",
     "ChaosVector",
     "MomentReport",
@@ -62,18 +60,6 @@ __all__ = [
     "chaos_to_json",
     "chaos_from_json",
 ]
-
-#: Default cap on the total block order p + q of any product term.
-DEGREE_CAP = 8
-
-#: Product terms with norm below PRUNE_TOL * (operand scale) are dropped;
-#: pass prune=False to multiply() where exactness of zeros matters.
-PRUNE_TOL = 1e-14
-
-
-class DegreeCapError(ValueError):
-    """Raised when a product would exceed the block-order or moments-route entry cap."""
-
 
 class ChaosVariable:
     """Finite chaos decomposition: constant + sum of I_{p,q}(f_{p,q})."""
@@ -109,11 +95,6 @@ class ChaosVariable:
     @property
     def degree(self) -> int:
         return max((p + q for (p, q) in self.terms), default=0)
-
-    def scale(self) -> float:
-        """Coarse magnitude estimate used for pruning thresholds."""
-        mags = [abs(self.constant)] + [norm(k) for k in self.terms.values()]
-        return max(mags)
 
     def __add__(self, other: "ChaosVariable") -> "ChaosVariable":
         if not self.space.same_as(other.space):
@@ -177,13 +158,11 @@ def _term_items(F: ChaosVariable):
     return items
 
 
-def multiply(F: ChaosVariable, G: ChaosVariable, degree_cap: int = DEGREE_CAP,
-             prune: bool = True) -> ChaosVariable:
+def multiply(F: ChaosVariable, G: ChaosVariable) -> ChaosVariable:
     """Pointwise product as a chaos variable, via the contraction expansion.
 
-    Raises :class:`DegreeCapError` if any output term would have block order
-    above ``degree_cap``.  With ``prune`` on, terms whose kernel norm is below
-    ``PRUNE_TOL`` times the product of the operands' scales are dropped.
+    Exact: every output term is kept, zeros included.  Each contraction raises
+    SpaceError before forming an array of more than ``space.ENTRY_CAP`` entries.
     """
     if not F.space.same_as(G.space):
         raise SpaceError("chaos variables live on different spaces")
@@ -191,10 +170,6 @@ def multiply(F: ChaosVariable, G: ChaosVariable, degree_cap: int = DEGREE_CAP,
     const = 0.0 + 0.0j
     for (a, b), f in _term_items(F):
         for (c, d), g in _term_items(G):
-            if a + b + c + d > degree_cap:
-                raise DegreeCapError(
-                    f"product term of order {a + b + c + d} exceeds cap {degree_cap}"
-                )
             for i in range(min(a, d) + 1):
                 for j in range(min(b, c) + 1):
                     coef = (comb(a, i) * comb(d, i) * comb(b, j) * comb(c, j)
@@ -205,9 +180,6 @@ def multiply(F: ChaosVariable, G: ChaosVariable, degree_cap: int = DEGREE_CAP,
                         const += complex(kern.coeffs)
                     else:
                         acc[key] = acc[key] + kern if key in acc else kern
-    if prune:
-        cutoff = PRUNE_TOL * F.scale() * G.scale()
-        acc = {key: kern for key, kern in acc.items() if norm(kern) > cutoff}
     return ChaosVariable(F.space, acc, const)
 
 
@@ -233,16 +205,16 @@ def product_expectation(F: ChaosVariable, G: ChaosVariable) -> complex:
     return pairing_expectation(F, conjugate(G))
 
 
-def power(F: ChaosVariable, k: int, degree_cap: int = DEGREE_CAP) -> ChaosVariable:
+def power(F: ChaosVariable, k: int) -> ChaosVariable:
     if k < 0:
         raise ValueError("nonnegative powers only")
     out = ChaosVariable.constant_variable(F.space, 1.0)
     for _ in range(k):
-        out = multiply(out, F, degree_cap=degree_cap)
+        out = multiply(out, F)
     return out
 
 
-def moment(F: ChaosVariable, k: int, l: int, degree_cap: int = DEGREE_CAP) -> complex:
+def moment(F: ChaosVariable, k: int, l: int) -> complex:
     """E[F^k conj(F)^l], exact up to float roundoff.
 
     The two powers are expanded separately and paired through the isometry, so
@@ -250,7 +222,7 @@ def moment(F: ChaosVariable, k: int, l: int, degree_cap: int = DEGREE_CAP) -> co
     """
     if k < 0 or l < 0:
         raise ValueError("moment orders must be nonnegative")
-    return pairing_expectation(power(F, k, degree_cap), power(F, l, degree_cap))
+    return pairing_expectation(power(F, k), power(F, l))
 
 
 # -- closed-form moment identities ---------------------------------------------
@@ -290,13 +262,13 @@ def _psi_group(f: Kernel, h: Kernel, r: int) -> Kernel | None:
     return out
 
 
-def fourth_gap(f: Kernel, route: str = "v1", degree_cap: int = DEGREE_CAP) -> float:
+def fourth_gap(f: Kernel, route: str = "v1") -> float:
     """Fourth-moment gap E|F|^4 - 2 (E|F|^2)^2 - |E F^2|^2 of F = I_{p,q}(f).
 
     Routes:
 
-    * ``"moments"`` -- product-formula moment engine (needs 2 (p+q) <= degree_cap
-      and n^(2(p+q)) <= ``space.ENTRY_CAP``, checked before any product);
+    * ``"moments"`` -- product-formula moment engine (SpaceError, before any
+      product, when n^(2(p+q)) exceeds ``space.ENTRY_CAP``);
     * ``"v1"`` -- contraction sum over f (x)_{i,j} h plus the phi_r groups, the
       f_1 = f_2 case of :func:`cov_abs_sq`'s groups;
     * ``"v2"`` -- contraction sum over f (x)_{i,j} f plus the psi_r groups.
@@ -311,10 +283,10 @@ def fourth_gap(f: Kernel, route: str = "v1", degree_cap: int = DEGREE_CAP) -> fl
         raise SpaceError("fourth_gap needs p + q >= 1")
     if route == "moments":
         if f.space.n ** (2 * l) > ENTRY_CAP:
-            raise DegreeCapError(f"the moments route needs n^(2(p+q)) = {f.space.n ** (2 * l)}"
-                                 f" entries, above the cap {ENTRY_CAP}")
+            raise SpaceError(f"the moments route needs n^(2(p+q)) = {f.space.n ** (2 * l)}"
+                             f" entries, above the cap {ENTRY_CAP}")
         F = ChaosVariable.from_kernel(f)
-        F2 = multiply(F, F, degree_cap=degree_cap, prune=False)
+        F2 = multiply(F, F)
         e4 = pairing_expectation(F2, F2).real
         s2 = factorial(p) * factorial(q) * norm_sq(f)
         ef2 = F2.constant
@@ -456,7 +428,7 @@ def _second_moments(f: Kernel) -> tuple[float, complex]:
     return fac * norm_sq(f), complex(pseudo)
 
 
-def moment_report(f: Kernel, degree_cap: int = DEGREE_CAP) -> MomentReport:
+def moment_report(f: Kernel) -> MomentReport:
     """Second moments, closed-form third moments, and the gap by all three routes."""
     f = symmetrize(f)
     var_abs, pseudo = _second_moments(f)
@@ -466,7 +438,7 @@ def moment_report(f: Kernel, degree_cap: int = DEGREE_CAP) -> MomentReport:
         pseudo=pseudo,
         third=third,
         third_mixed=third_mixed,
-        gap=fourth_gap(f, "moments", degree_cap=degree_cap),
+        gap=fourth_gap(f, "moments"),
         gap_v1=fourth_gap(f, "v1"),
         gap_v2=fourth_gap(f, "v2"),
     )
@@ -496,7 +468,7 @@ def chaos_from_json(doc: dict) -> ChaosVariable:
     space = None
     for entry in raw_terms:
         try:
-            kern_doc, key = entry["kernel"], (int(entry["p"]), int(entry["q"]))
+            kern_doc, key = entry["kernel"], (_json_int(entry, "p"), _json_int(entry, "q"))
         except (KeyError, TypeError) as exc:
             raise SpaceError(f"chaos term needs 'p', 'q' and 'kernel': {exc!r}") from exc
         kern = symmetrize(kernel_from_json(kern_doc))

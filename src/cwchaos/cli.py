@@ -39,7 +39,6 @@ from .ou import (
 )
 from .sampling import sample_chaos, save_batch
 from .space import SpaceError, load_kernel
-from .space import kernel_from_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -72,11 +71,10 @@ def _load_vector(path: str) -> ChaosVector:
     for entry in comps:
         if not isinstance(entry, dict):
             raise SpaceError(f"vector component must be an object, not {entry!r}")
-        if "kernel" in entry and "p" in entry:
-            # bare single-order component given as {"p","q","kernel"}
-            out.append(ChaosVariable.from_kernel(kernel_from_json(entry["kernel"])))
-        else:
-            out.append(chaos_from_json(entry))
+        if "terms" not in entry:
+            # a bare single-order component {"p", "q", "kernel"} is a one-term chaos
+            entry = {"constant_re": 0.0, "constant_im": 0.0, "terms": [entry]}
+        out.append(chaos_from_json(entry))
     return ChaosVector(out)
 
 
@@ -84,7 +82,7 @@ def _load_vector(path: str) -> ChaosVector:
 
 
 def cmd_moments(args) -> int:
-    rep = moment_report(load_kernel(args.kernel), degree_cap=args.degree_cap)
+    rep = moment_report(load_kernel(args.kernel))
     _write(json.dumps(rep.to_json(), indent=2), args.output)
     spread = rep.route_spread()
     if not spread <= args.tol:  # NaN fails
@@ -213,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="moment report for a kernel file (three gap routes)")
     p.add_argument("kernel")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--degree-cap", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-9, help="route agreement tolerance")
     p.set_defaults(func=cmd_moments)
 

@@ -2,7 +2,7 @@
 
 The least-squares bias statistic of the drift parameter has numerator
 F_T = I_{1,1} of a strictly triangular exponential kernel on [0, T]^2; this
-module discretizes that kernel and its Hermitian companion on quadrature
+module discretizes that kernel and its Hermitian companion on midpoint
 grids, evaluates the closed-form moments, sweeps the fourth-moment and
 third-moment quantities across horizons to exhibit their decay rates, samples
 the statistic exactly in distribution, and checks the pathwise decomposition
@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import _circular_bound, fmt_norms
 from .chaos import _second_moments, fourth_gap, third_moments_closed
 from .sampling import GENERATOR_VERSION, SampleBatch, _block_rng, _complex_normal
-from .space import Kernel, SpaceError, SpaceSpec
+from .space import ENTRY_CAP, Kernel, SpaceError, SpaceSpec
 
 __all__ = [
     "OUParams",
@@ -87,19 +87,14 @@ class OUParams:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Quadrature layout on [0, T]: m nodes, midpoint or composite 2-point
-    Gauss-Legendre panels."""
+    """Midpoint quadrature on [0, T]: m equal cells, one node at each cell's
+    centre weighted by the cell width T / m."""
 
     m: int
-    rule: str = "midpoint"
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError("m must be >= 2")
-        if self.rule not in ("midpoint", "gauss-legendre-composite"):
-            raise ValueError(f"unknown rule {self.rule!r}")
-        if self.rule == "gauss-legendre-composite" and self.m % 2:
-            raise ValueError("composite Gauss-Legendre needs an even node count")
 
     @classmethod
     def from_spacing(cls, T: float, dt: float) -> "GridSpec":
@@ -112,19 +107,9 @@ class GridSpec:
         return cls(m=m)
 
     def nodes_weights(self, T: float) -> tuple[np.ndarray, np.ndarray]:
-        if self.rule == "midpoint":
-            h = T / self.m
-            t = (np.arange(self.m) + 0.5) * h
-            w = np.full(self.m, h)
-            return t, w
-        panels = self.m // 2
-        h = T / panels
-        centers = (np.arange(panels) + 0.5) * h
-        off = h / (2.0 * sqrt(3.0))
-        t = np.empty(self.m)
-        t[0::2] = centers - off
-        t[1::2] = centers + off
-        w = np.full(self.m, h / 2.0)
+        h = T / self.m
+        t = (np.arange(self.m) + 0.5) * h
+        w = np.full(self.m, h)
         return t, w
 
     def space(self, T: float) -> SpaceSpec:
@@ -135,14 +120,14 @@ class GridSpec:
 # -- kernels -----------------------------------------------------------------------
 
 
-def _subdiagonal_factor(lam, spacing, weight_ratio=1.0):
+def _subdiagonal_factor(lam, spacing):
     """Scale beta of the numerator kernel's first-subdiagonal entry (i, i-1).
 
-    beta^2 = 1 + (w_i / w_{i-1}) exp(2 lam (t_i - t_{i-1})) / 2 is the factor by
-    which |K_{i,i-1}|^2 w_i w_{i-1} gains w_i^2 / (2T), the mass of the half
-    diagonal cell below the diagonal at node i.
+    beta^2 = 1 + exp(2 lam (t_i - t_{i-1})) / 2 is the factor by which
+    |K_{i,i-1}|^2 w^2 gains w^2 / (2T), the mass of the half diagonal cell
+    below the diagonal at node i, on the grid's equal weights w.
     """
-    return np.sqrt(1.0 + 0.5 * weight_ratio * np.exp(2.0 * lam * spacing))
+    return np.sqrt(1.0 + 0.5 * np.exp(2.0 * lam * spacing))
 
 
 def numerator_kernel(params: OUParams, grid: GridSpec) -> Kernel:
@@ -155,22 +140,21 @@ def numerator_kernel(params: OUParams, grid: GridSpec) -> Kernel:
     diagonal, mass w_i^2 / (2T) per node, and the variance quadrature would be
     first order with error dt/2.  On the standard-Brownian branch (H = 1/2)
     that mass is put on the first subdiagonal instead: entry (i, i-1) is scaled
-    by beta_i (``_subdiagonal_factor``; beta = sqrt(1 + exp(2 lam dt)/2) on the
-    midpoint grid), which keeps the kernel strictly lower triangular.  The
-    midpoint variance quadrature is then second order, with leading error
-    (lam/6 - 5/(12 T)) dt^2.  The fractional Gram pairs a diagonal cell with
-    all others, so the correction is not derived there and H > 1/2 keeps the
-    plain strict triangle.
+    by beta (``_subdiagonal_factor``: beta = sqrt(1 + exp(2 lam dt)/2)), which
+    keeps the kernel strictly lower triangular.  The midpoint variance
+    quadrature is then second order, with leading error (lam/6 - 5/(12 T)) dt^2.
+    The fractional Gram pairs a diagonal cell with all others, so the correction
+    is not derived there and H > 1/2 keeps the plain strict triangle.
     """
     space = grid.space(params.T)
-    t, w = space.grid, space.weights
+    t = space.grid
     diff = t[:, None] - t[None, :]
     mask = diff > 0
     vals = np.where(mask, np.exp(-np.conj(params.gamma) * np.where(mask, diff, 0.0)), 0.0)
     vals /= sqrt(params.T)
     if params.H == 0.5:
         i = np.arange(1, grid.m)
-        vals[i, i - 1] *= _subdiagonal_factor(params.lam, np.diff(t), w[1:] / w[:-1])
+        vals[i, i - 1] *= _subdiagonal_factor(params.lam, np.diff(t))
     return Kernel(space, 1, 1, vals, symmetric=True)
 
 
@@ -355,16 +339,22 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
 
     H = 1/2 reproduces decay exponents -1 (gap) and -1/2 (mixed third moment);
     the fractional branch reports the gap of the variance-normalized statistic,
-    whose upper-bound exponent is 2(4H - 3) for H in (5/8, 3/4).
+    whose upper-bound exponent is 2(4H - 3) for H in (5/8, 3/4).  A fractional
+    grid with m^2 above ``space.ENTRY_CAP`` raises SpaceError before any row.
     """
     T_list = list(T_list)
     if len(T_list) < 2:
         raise ValueError("a regression slope needs at least two horizons")
     if any(t2 <= t1 for t1, t2 in zip(T_list, T_list[1:])):
         raise ValueError("T_list must be strictly increasing")
+    grids = [GridSpec.from_spacing(T, dt) for T in T_list]
+    m = max(grid.m for grid in grids)
+    if base.H != 0.5 and m * m > ENTRY_CAP:
+        # a fractional row forms m x m arrays: refuse before computing any row
+        raise SpaceError(f"the fractional sweep needs m^2 = {m * m} entries at m = {m},"
+                         f" above the cap {ENTRY_CAP}")
     rows = []
-    for T in T_list:
-        grid = GridSpec.from_spacing(T, dt)
+    for T, grid in zip(T_list, grids):
         params = replace(base, T=T)
         if base.H == 0.5:
             tq = triangular_quantities(params, grid.m)
@@ -394,8 +384,6 @@ def fbm_gram(params: OUParams, grid: GridSpec) -> np.ndarray:
     piecewise-constant kernel gets its exact fractional pairing.  H = 1/2
     returns the diagonal quadrature Gram.
     """
-    if grid.rule != "midpoint":
-        raise ValueError("the fractional Gram needs the midpoint rule's cells")
     t, w = grid.nodes_weights(params.T)
     if params.H == 0.5:
         return np.diag(w)
@@ -495,8 +483,6 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int,
         raise ValueError("sampling is implemented for the H = 1/2 branch")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if grid.rule != "midpoint":
-        raise ValueError("the fast sampler assumes the midpoint grid")
     m = grid.m
     T = params.T
     dt = T / m

@@ -328,11 +328,19 @@ def kernel_to_json(f: Kernel) -> dict:
     }
 
 
+def _json_int(doc: dict, key: str) -> int:
+    """The integer ``doc[key]``; a float, string or bool is bad input, not truncated."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SpaceError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def kernel_from_json(doc: dict) -> Kernel:
     try:
-        n = int(doc["n"])
-        p = int(doc["p"])
-        q = int(doc["q"])
+        n = _json_int(doc, "n")
+        p = _json_int(doc, "p")
+        q = _json_int(doc, "q")
         weights = np.array(doc["weights"], dtype=float)
         grid = None if doc.get("grid") is None else np.array(doc["grid"], dtype=float)
         re = np.array(doc["re"], dtype=float)

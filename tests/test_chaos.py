@@ -8,9 +8,9 @@ from math import factorial
 import numpy as np
 import pytest
 
+from cwchaos import space
 from cwchaos.chaos import (
     ChaosVariable,
-    DegreeCapError,
     MomentReport,
     chaos_from_json,
     chaos_to_json,
@@ -111,13 +111,16 @@ def test_multiply_bilinear(rng):
         assert np.allclose(lhs.terms[key].coeffs, rhs.terms[key].coeffs)
 
 
-def test_multiply_degree_cap(sp4, rng):
-    F = basis_variable(sp4, (0, 1), (2, 3))
-    multiply(F, F)  # top output order 8 sits exactly at the default cap
+def test_multiply_capped_by_entries_not_order(sp4, monkeypatch):
+    # a top output order of 10 is fine at n = 4 (4^10 entries)
     G = basis_variable(sp4, (0, 1, 2), (0, 1))
-    with pytest.raises(DegreeCapError):
-        multiply(G, G)  # top output order 10 exceeds the cap
-    multiply(G, G, degree_cap=10)
+    assert multiply(G, G).constant == product_expectation(G, G)
+    assert multiply(G, conjugate(G)).constant == pytest.approx(pairing_expectation(G, G))
+    # a (2,0) square at n = 65 has a 65^4 > 2^24-entry tensor-product term
+    F = basis_variable(SpaceSpec.orthonormal(65), (0, 1), ())
+    monkeypatch.setattr(space.np, "tensordot", lambda *a, **k: pytest.fail("contracted past the cap"))
+    with pytest.raises(SpaceError, match="cap"):
+        multiply(F, F)
 
 
 def test_isometry_reproduced_by_product(rng):
@@ -188,8 +191,8 @@ def test_third_moments_closed_vs_engine(rng):
     F22 = ChaosVariable.from_kernel(f22)
     c3, c21 = third_moments_closed(f22)
     scale = max(abs(c3), abs(c21), 1.0)
-    assert abs(c3 - moment(F22, 3, 0, degree_cap=12)) <= 1e-9 * scale
-    assert abs(c21 - moment(F22, 2, 1, degree_cap=12)) <= 1e-9 * scale
+    assert abs(c3 - moment(F22, 3, 0)) <= 1e-9 * scale
+    assert abs(c21 - moment(F22, 2, 1)) <= 1e-9 * scale
 
 
 # -- fourth-moment gap ----------------------------------------------------------------------
@@ -214,7 +217,7 @@ def test_fourth_gap_route_agreement(rng):
     for (p, q) in orders:
         sp = random_space(rng, 2, weighted=True)
         f = random_kernel(rng, sp, p, q)
-        gm = fourth_gap(f, "moments", degree_cap=10)
+        gm = fourth_gap(f, "moments")
         g1 = fourth_gap(f, "v1")
         g2 = fourth_gap(f, "v2")
         s2 = factorial(p) * factorial(q) * norm_sq(f)
@@ -278,17 +281,15 @@ def test_power_and_expectation_of_product(sp4):
     assert expectation(power(F, 0)) == 1.0
 
 
-def test_pruning_drops_cancelled_terms(rng):
+def test_multiply_keeps_cancelled_terms_as_exact_zeros(rng):
     sp = random_space(rng, 2)
     f = random_kernel(rng, sp, 1, 0)
     F = ChaosVariable.from_kernel(f)
     G = ChaosVariable.from_kernel(f * -1.0)
     S = F + G  # identically zero first-order term
     P = multiply(S, ChaosVariable.from_kernel(random_kernel(rng, sp, 0, 1)))
-    assert P.terms == {}
-    unpruned = multiply(S, ChaosVariable.from_kernel(random_kernel(rng, sp, 0, 1)), prune=False)
-    assert set(unpruned.terms) == {(1, 1)}
-    assert np.allclose(unpruned.terms[(1, 1)].coeffs, 0.0)
+    assert set(P.terms) == {(1, 1)}
+    assert np.all(P.terms[(1, 1)].coeffs == 0.0)
 
 
 # -- report and persistence ----------------------------------------------------------------------

@@ -18,6 +18,10 @@ from cwchaos.chaos import ChaosVariable, chaos_to_json
 from cwchaos.cli import main
 from cwchaos.space import Kernel, SpaceSpec, kernel_to_json, save_kernel
 
+from conftest import random_kernel, random_space
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -73,6 +77,31 @@ def test_moments_route_caps_dense_products(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(chaos, "multiply", lambda *a, **k: pytest.fail("multiplied past the cap"))
     assert main(["moments", str(path)]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_moments_order_five_kernel(tmp_path, rng):
+    # a (3,2) kernel at n = 3: its product terms have 3^10 = 59,049 entries
+    path = tmp_path / "k32.json"
+    save_kernel(random_kernel(rng, random_space(rng, 3, weighted=True), 3, 2), path)
+    out = tmp_path / "rep.json"
+    assert main(["moments", str(path), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["route_spread"] <= 1e-9
+
+
+def test_non_integer_sizes_are_bad_input(tmp_path, capsys):
+    # 4.7 and 1.9 were truncated to 4 and 1; a string is the wrong type
+    doc = kernel_to_json(Kernel.basis(SpaceSpec.orthonormal(4), (0,), (1,)))
+    path = tmp_path / "k.json"
+    for key, value in (("n", 4.7), ("p", 1.9), ("q", "1")):
+        path.write_text(json.dumps({**doc, key: value}))
+        assert main(["moments", str(path)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+    chaos_doc = chaos_to_json(ChaosVariable.from_kernel(Kernel.basis(SpaceSpec.orthonormal(4),
+                                                                     (0,), (1,))))
+    chaos_doc["terms"][0]["p"] = 1.0
+    path.write_text(json.dumps(chaos_doc))
+    assert main(["clt-check", str(path)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_closed_routes_cap_contractions(tmp_path, monkeypatch, capsys):
@@ -152,6 +181,27 @@ def test_bound_kernel(files, tmp_path):
 def test_bound_non_circular_kernel_reports_null(files, tmp_path):
     # e1 (x) conj-e1 has singular real covariance: validation failure
     assert main(["bound", "--kernel", str(files / "k11.json")]) == 2
+
+
+def test_nan_circular_tol_fails_closed(tmp_path):
+    # a non-circular kernel gets no circular bound, and a non-circular vector
+    # no multivariate bound, whatever the tolerance; NaN compares False
+    out = tmp_path / "bound.json"
+    assert main(["bound", "--kernel", str(INPUTS / "k11.json"), "--circular-tol", "nan",
+                 "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["be_upper_circular"] is None
+    assert main(["bound", "--vector", str(INPUTS / "vector_noncircular.json"),
+                 "--circular-tol", "nan"]) == 2
+
+
+def test_bare_vector_component_checks_its_order(tmp_path, capsys):
+    # the same check a chaos file's term gets: (2,0) on a (1,1) kernel is refused
+    kern = kernel_to_json(Kernel.basis(SpaceSpec.orthonormal(2), (0,), (1,)))
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"components": [{"p": 2, "q": 0, "kernel": kern}]}))
+    for argv in (["bound", "--vector", str(vec)], ["circularity", str(vec)]):
+        assert main(argv) == 2
+        assert "does not match" in capsys.readouterr().err
 
 
 def test_bound_vector(files, tmp_path):

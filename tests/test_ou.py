@@ -9,6 +9,7 @@ from math import exp, sqrt
 import numpy as np
 import pytest
 
+from cwchaos import ou
 from cwchaos.bounds import fmt_norms
 from cwchaos.chaos import fourth_gap, moment_report, third_moments_closed
 from cwchaos.ou import (
@@ -31,7 +32,7 @@ from cwchaos.ou import (
     _whitened_row,
 )
 from cwchaos.sampling import _block_rng, _complex_normal
-from cwchaos.space import Kernel, SpaceError, inner_product, norm_sq, reverse_conjugate
+from cwchaos.space import Kernel, SpaceError, SpaceSpec, inner_product, norm_sq, reverse_conjugate
 
 
 # -- parameters and grids ---------------------------------------------------------
@@ -58,14 +59,10 @@ def test_params_validation():
 def test_grid_rules():
     with pytest.raises(ValueError):
         GridSpec(m=1)
-    with pytest.raises(ValueError):
-        GridSpec(m=5, rule="gauss-legendre-composite")
-    for rule in ("midpoint", "gauss-legendre-composite"):
-        g = GridSpec(m=10, rule=rule)
-        t, w = g.nodes_weights(2.0)
-        assert np.all(np.diff(t) > 0)
-        assert np.all((t > 0) & (t < 2.0))
-        assert np.sum(w) == pytest.approx(2.0)
+    t, w = GridSpec(m=10).nodes_weights(2.0)
+    assert np.all(np.diff(t) > 0)
+    assert np.all((t > 0) & (t < 2.0))
+    assert np.sum(w) == pytest.approx(2.0)
 
 
 # -- kernels ------------------------------------------------------------------------
@@ -108,10 +105,8 @@ def test_numerator_norm_first_order_convergent():
 
 def test_numerator_pseudo_moment_exactly_zero():
     p = OUParams(lam=0.7, omega=1.3, T=8.0)
-    for rule in ("midpoint", "gauss-legendre-composite"):
-        K = numerator_kernel(p, GridSpec(m=64, rule=rule))
-        h = reverse_conjugate(K)
-        assert inner_product(K, h) == 0.0
+    K = numerator_kernel(p, GridSpec(m=64))
+    assert inner_product(K, reverse_conjugate(K)) == 0.0
 
 
 def test_occupation_kernel_structure():
@@ -231,6 +226,17 @@ def test_rate_sweep_validates_inputs():
             rate_sweep(OUParams(lam=1.0, T=1.0), T_list, dt=0.1)
 
 
+def test_fractional_sweep_caps_grid_before_any_row(monkeypatch):
+    # T = 840 at dt = 0.2 gives m = 4200, and 4200^2 > 2^24: refused before the
+    # small T = 10 row is computed, so no Gram is ever built
+    monkeypatch.setattr(ou, "fbm_gram", lambda *a, **k: pytest.fail("built a Gram past the cap"))
+    with pytest.raises(SpaceError, match="cap"):
+        rate_sweep(OUParams(lam=1.0, omega=0.5, H=0.7), [10.0, 840.0], dt=0.2)
+    # the O(m) H = 1/2 branch has no such cap
+    table = rate_sweep(OUParams(lam=1.0, omega=0.5), [10.0, 840.0], dt=0.05)
+    assert [r.m for r in table.rows] == [200, 16800]
+
+
 # -- fractional branch ---------------------------------------------------------------------------
 
 
@@ -270,7 +276,11 @@ def test_fbm_inner_fractional_positive_norm(rng=np.random.default_rng(4)):
 def test_fbm_inner_rejects_non_midpoint_space():
     # on Gauss-Legendre nodes the rebuilt midpoint cells gave 2.0155 for the
     # constant kernel on [0, 2] at H = 1/2 (exact: 2) and 2.668 at H = 0.7 (2^1.4)
-    gl = GridSpec(m=8, rule="gauss-legendre-composite").space(2.0)
+    h = 0.5  # four composite 2-point Gauss-Legendre panels on [0, 2]
+    centers = (np.arange(4) + 0.5) * h
+    off = h / (2.0 * sqrt(3.0))
+    gl = SpaceSpec(n=8, weights=np.full(8, h / 2.0),
+                   grid=np.column_stack((centers - off, centers + off)).ravel())
     f = Kernel(gl, 1, 0, np.ones(8))
     for H in (0.5, 0.7):
         with pytest.raises(SpaceError):
