@@ -443,6 +443,8 @@ class CltReport:
 
 
 def clt_conditions(F: ChaosVariable, M: int) -> CltReport:
+    if M < 1:
+        raise ValueError(f"truncation order must be >= 1 (chaos orders start at 1), got {M}")
     variances = {}
     tables = {}
     tail = 0.0

@@ -21,6 +21,7 @@ moment, gap and contraction routes, and all three gap routes cross-check it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, replace
 from math import exp, isfinite, sqrt
 
@@ -468,6 +469,16 @@ def _ar1_rows(a, x):
         yield y
 
 
+_MAX_WORKERS = 4                       # sample_numerator blocks of draws alive at once
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity set where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int,
                      normalized: bool = True) -> SampleBatch:
     """Monte Carlo batch of the (normalized) numerator statistic.
@@ -478,6 +489,12 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int,
     is the AR(1) recursion and band Z_{i-1} the first-subdiagonal band.  The sum
     accumulates row by row, so cost is O(m N) rather than O(m^2 N) and the block
     of draws is the only m x block array.
+
+    Each block has its own random stream, so blocks run concurrently on one
+    thread per usable core, at most ``_MAX_WORKERS`` = 4, and the batch is the
+    same on any core count.  Each worker holds one block of draws, so at most
+    four blocks are alive at once: 4 x 128 MiB while m <= 8192, where a block
+    has at most 8<<20 complex entries.
     """
     if params.H != 0.5:
         raise ValueError("sampling is implemented for the H = 1/2 branch")
@@ -493,13 +510,23 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int,
     block = max(1024, min(1 << 16, (8 << 20) // m))
     values = np.empty(N, dtype=complex)
     n_blocks = (N + block - 1) // block
-    for ib in range(n_blocks):
+
+    def fill(ib):
         lo, hi = ib * block, min((ib + 1) * block, N)
         Z = _complex_normal(_block_rng(seed, ib), (m, hi - lo))
         acc = np.zeros(hi - lo, dtype=complex)
         for i, w in enumerate(_ar1_rows(a, (a * z for z in Z[:-1])), start=1):
             acc += Z[i] * np.conj(w + band * Z[i - 1])
         values[lo:hi] = scale * acc
+
+    # imported here: concurrent.futures loads logging, which would add about
+    # 8 ms to every `import cwchaos`
+    from concurrent.futures import ThreadPoolExecutor
+
+    # reading every result re-raises a block's error; on an error or Ctrl-C the
+    # map cancels the queued blocks, so only the running ones finish
+    with ThreadPoolExecutor(min(n_blocks, _usable_cores(), _MAX_WORKERS)) as pool:
+        list(pool.map(fill, range(n_blocks)))
     meta = (f"sample_numerator lam={params.lam!r} omega={params.omega!r} T={T!r} m={m} "
             f"seed={seed} N={N} block={block} version={GENERATOR_VERSION}")
     return SampleBatch(values=values, seed=seed, meta=meta)

@@ -12,7 +12,10 @@ e_k / sqrt(w_k), tr_k pairing k holomorphic with k antiholomorphic slots, and
 
 Random streams are counter-based (Philox) and split per fixed-size sample
 block, so batches are bit-reproducible for a given (seed, N, generator
-version) independent of scheduling.
+version) independent of scheduling.  Complex normals are filled in place in
+chunks, real parts first, then imaginary parts, each scaled by the reciprocal
+1/sqrt(2): the same stream order and the same bits as one draw of the whole
+(2, *shape) float array.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
 GENERATOR_VERSION = "cwchaos-hermite-2"
 
 _BLOCK = 1 << 16
+_CHUNK = 1 << 16                       # floats per in-place fill of _complex_normal
 
 
 @dataclass(frozen=True)
@@ -129,11 +133,23 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Circular standard complex normals (E|Z|^2 = 1) of the given shape; all
-    real parts are drawn before all imaginary parts."""
-    parts = rng.standard_normal((2, *shape))
+    real parts are drawn before all imaginary parts.
+
+    The draws go in place, ``_CHUNK`` floats at a time through one reusable
+    buffer, so no float temporary of the full shape is held.  The stream is
+    consumed in the same order as one ``standard_normal((2, *shape))`` call,
+    and each value is scaled by the reciprocal 1/sqrt(2), which is what a
+    complex division by sqrt(2) computes, so the result is bitwise that of
+    the one-call draw.
+    """
     out = np.empty(shape, dtype=complex)
-    out.real, out.imag = parts
-    out /= sqrt(2.0)
+    flat = out.reshape(-1)
+    buf = np.empty(min(_CHUNK, flat.size))
+    for part in (flat.real, flat.imag):
+        for lo in range(0, flat.size, _CHUNK):
+            chunk = buf[:min(_CHUNK, flat.size - lo)]
+            rng.standard_normal(out=chunk)
+            np.multiply(chunk, 1.0 / sqrt(2.0), out=part[lo:lo + chunk.size])
     return out
 
 

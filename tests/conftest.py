@@ -31,6 +31,16 @@ def random_space(rng, n: int, weighted: bool = False) -> SpaceSpec:
     return SpaceSpec.orthonormal(n)
 
 
+def one_call_complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Circular standard complex normals from one draw of the whole (2, *shape)
+    float array; the same-stream oracle for the sampler's in-place chunked fill."""
+    parts = rng.standard_normal((2, *shape))
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts
+    out /= sqrt(2.0)
+    return out
+
+
 def contract_reference(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     """Contraction by explicit index loops; the oracle for the tensordot path.
 

@@ -231,6 +231,16 @@ def test_clt_check(files, tmp_path):
     assert doc["tail_mass"] == 0.0
 
 
+@pytest.mark.parametrize("order", ["-3", "0"])
+def test_clt_check_truncation_below_one_is_bad_input(files, tmp_path, capsys, order):
+    # chaos orders start at 1: a lower truncation reported the whole variance as tail
+    out = tmp_path / "clt.json"
+    assert main(["clt-check", str(files / "chaos.json"), "--truncate", order,
+                 "-o", str(out)]) == 2
+    assert "truncation order" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_circularity_exit_codes(files, tmp_path):
     assert main(["circularity", str(files / "vec.json"), "-o",
                  str(tmp_path / "c.json")]) == 0

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
+import os
+import sys
+import time
 from dataclasses import asdict, replace
 from math import exp, sqrt
 
@@ -382,23 +386,84 @@ def test_sample_numerator_agrees_with_generic_sampler():
     assert v1 == pytest.approx(v2, abs=0.02)
 
 
-@pytest.mark.parametrize("m", [2, 3, 40])
-def test_sample_numerator_matches_dense_form_on_same_draws(m):
+@pytest.mark.parametrize("m, N", [(2, (1 << 16) + 300), (3, (1 << 16) + 300),
+                                  (40, (1 << 16) + 300), (40, 3 * (1 << 16) + 7)],
+                         ids=["2", "3", "40", "40-four-blocks"])
+def test_sample_numerator_matches_dense_form_on_same_draws(m, N):
     # rebuild every block's draws and evaluate dt sum_{i,j} K_ij Z_i conj(Z_j)
     # (unit-weight draws on cells of weight dt) densely: pins the recursion,
     # the band and the block seeding value by value
     p = OUParams(lam=0.8, omega=0.6, T=4.0)
     g = GridSpec(m=m)
-    N, seed = (1 << 16) + 300, 17
+    block, seed = 1 << 16, 17
     batch = sample_numerator(p, g, N=N, seed=seed)
-    assert f"block={1 << 16}" in batch.meta         # so N spans two blocks
-    got = batch.values
+    assert f"block={block}" in batch.meta           # so N spans two or more blocks
     K = (numerator_kernel(p, g) * normalization_factor(p)).coeffs
     dt = p.T / m
-    Z = np.concatenate([_complex_normal(_block_rng(seed, ib), (m, nb))
-                        for ib, nb in enumerate((1 << 16, 300))], axis=1)
-    dense = dt * np.sum(Z * (K @ np.conj(Z)), axis=0)
-    assert np.all(np.abs(got - dense) <= 1e-12 * np.abs(dense))
+    for ib, lo in enumerate(range(0, N, block)):
+        Z = _complex_normal(_block_rng(seed, ib), (m, min(block, N - lo)))
+        dense = dt * np.sum(Z * (K @ np.conj(Z)), axis=0)
+        got = batch.values[lo:lo + Z.shape[1]]
+        assert np.all(np.abs(got - dense) <= 1e-12 * np.abs(dense))
+
+
+def test_sample_numerator_independent_of_worker_count(monkeypatch):
+    # six blocks, the last one short, on one, two, four and (capped at four)
+    # sixty-four threads, with thread switches forced often
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    p, g = OUParams(lam=0.8, omega=0.6, T=4.0), GridSpec(m=8)
+    N, seed = 5 * (1 << 16) + 7, 17
+    batches = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 4, 64):
+            monkeypatch.setattr(ou, "_usable_cores", lambda: workers)
+            batches[workers] = sample_numerator(p, g, N=N, seed=seed).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [1, 2, 4, 4]
+    for workers in (2, 4, 64):
+        assert np.array_equal(batches[workers], batches[1])
+
+
+def test_sample_numerator_error_cancels_pending_blocks(monkeypatch):
+    # a failing block (or Ctrl-C) ends the batch once the running blocks finish:
+    # the pool's map cancels every queued block
+    calls = []
+
+    def failing_draw(rng, shape):
+        calls.append(shape)
+        if len(calls) > 1:
+            time.sleep(0.05)
+        raise RuntimeError("draw failed")
+
+    monkeypatch.setattr(ou, "_complex_normal", failing_draw)
+    monkeypatch.setattr(ou, "_usable_cores", lambda: 2)
+    g = GridSpec(m=1024)                                # blocks of 8192
+    with pytest.raises(RuntimeError, match="draw failed"):
+        sample_numerator(OUParams(lam=1.0, T=2.0), g, N=40 * 8192, seed=0)
+    assert len(calls) < 10
+
+
+def test_usable_cores_without_affinity(monkeypatch):
+    # platforms without sched_getaffinity (macOS) fall back to the CPU count
+    p, g = OUParams(lam=1.0, T=2.0), GridSpec(m=3)
+    N = (1 << 16) + 5                               # two blocks
+    ref = sample_numerator(p, g, N=N, seed=4).values
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert ou._usable_cores() == (os.cpu_count() or 1)
+    assert np.array_equal(sample_numerator(p, g, N=N, seed=4).values, ref)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ou._usable_cores() == 1
+    assert np.array_equal(sample_numerator(p, g, N=N, seed=4).values, ref)
 
 
 def test_simulate_path_stationary_variance():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cwchaos.chaos import ChaosVariable, moment
 from cwchaos.sampling import (
     _BLOCK,
+    _CHUNK,
     GaussianTarget,
     _block_rng,
     _complex_normal,
@@ -23,7 +24,7 @@ from cwchaos.sampling import (
 )
 from cwchaos.space import Kernel, SpaceSpec
 
-from conftest import profile_sample, random_kernel, random_space
+from conftest import one_call_complex_normal, profile_sample, random_kernel, random_space
 
 
 # -- the generating-function oracle -----------------------------------------------
@@ -206,6 +207,16 @@ def test_sample_chaos_matches_profile_oracle_on_same_draws(orders, n, N, constan
                         for ib, lo in enumerate(range(0, N, _BLOCK))], axis=1)
     ref = profile_sample(F, Z)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-13)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (100, 3), (7, 1024), (1, _CHUNK + 1),
+                                   (3, (_CHUNK - 1) // 3), (2 * _CHUNK + 1,), (2 * _CHUNK - 1,)])
+def test_complex_normal_matches_one_call_draw(shape):
+    # the chunked in-place fill consumes the stream in the one-call order and
+    # scales by the reciprocal of sqrt(2), bit for bit what the complex divide gives
+    got = _complex_normal(_block_rng(31, 2), shape)
+    assert got.shape == shape
+    assert np.array_equal(got, one_call_complex_normal(_block_rng(31, 2), shape))
 
 
 # -- Gaussian reference sampler ----------------------------------------------------------
