@@ -43,7 +43,6 @@ __all__ = [
     "be_lower_terms",
     "partial_order",
     "gap_sandwich_constants",
-    "CovarianceSummary",
     "CrossTerm",
     "BoundReport",
     "be_upper_multivariate",
@@ -260,25 +259,6 @@ def _pair_matrix(F: ChaosVector, pair) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CovarianceSummary:
-    """Hermitian covariance E[F conj(F)'], pseudo-covariance E[F F'], and the
-    extreme eigenvalues of the former."""
-
-    sigma: np.ndarray
-    pseudo: np.ndarray
-    lambda_max: float
-    lambda_min: float
-
-    @classmethod
-    def from_vector(cls, F: ChaosVector) -> "CovarianceSummary":
-        sigma = _pair_matrix(F, pairing_expectation)
-        pseudo = _pair_matrix(F, product_expectation)
-        eig = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
-        return cls(sigma=sigma, pseudo=pseudo,
-                   lambda_max=float(eig[-1]), lambda_min=float(eig[0]))
-
-
-@dataclass(frozen=True)
 class CrossTerm:
     """One bracketed cross term of the multivariate estimate, reported raw
     (no unspecified constant applied)."""
@@ -329,22 +309,25 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
     separately, without the unspecified constant)."""
     kernels = _single_order_kernels(F)
     d = F.d
-    summary = CovarianceSummary.from_vector(F)
+    sigma = _pair_matrix(F, pairing_expectation)   # E[F conj(F)']
+    pseudo = _pair_matrix(F, product_expectation)  # E[F F']
+    eig = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
+    lambda_max, lambda_min = float(eig[-1]), float(eig[0])
 
-    pseudo_max = float(np.max(np.abs(summary.pseudo)))
-    scale = float(np.max(np.abs(np.diagonal(summary.sigma))))
+    pseudo_max = float(np.max(np.abs(pseudo)))
+    scale = float(np.max(np.abs(np.diagonal(sigma))))
     if not pseudo_max <= circular_tol * scale:  # NaN fails
         raise NonCircularError(
             f"max |E F^j F^r| = {pseudo_max:.3e} exceeds {circular_tol:.1e} * {scale:.3e}"
         )
-    if summary.lambda_min <= 1e-12 * max(summary.lambda_max, 1.0):
-        raise SingularCovarianceError(f"Sigma is singular (lambda_min = {summary.lambda_min:.3e})")
+    if lambda_min <= 1e-12 * max(lambda_max, 1.0):
+        raise SingularCovarianceError(f"Sigma is singular (lambda_min = {lambda_min:.3e})")
 
     quartic = 0.0
     for j in range(d):
         for r in range(d):
-            quartic += cov_abs_sq(kernels[j], kernels[r]) - abs(summary.sigma[j, r]) ** 2
-    bound = 2.0 * sqrt(d * summary.lambda_max) / summary.lambda_min * sqrt(max(quartic, 0.0))
+            quartic += cov_abs_sq(kernels[j], kernels[r]) - abs(sigma[j, r]) ** 2
+    bound = 2.0 * sqrt(d * lambda_max) / lambda_min * sqrt(max(quartic, 0.0))
 
     own = [contraction_sum_sq(k) for k in kernels]
     cross: list[CrossTerm] = []
@@ -376,8 +359,8 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
         d=d,
         bound=bound,
         quartic_sum=quartic,
-        lambda_max=summary.lambda_max,
-        lambda_min=summary.lambda_min,
+        lambda_max=lambda_max,
+        lambda_min=lambda_min,
         pseudo_max=pseudo_max,
         own_contraction_sums=own,
         cross_terms=cross,

@@ -14,6 +14,7 @@ import sys
 
 from . import __version__
 from .bounds import (
+    CIRCULAR_TOL,
     NonCircularError,
     BoundInputs,
     be_lower_terms,
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kernel")
     g.add_argument("--vector")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--circular-tol", type=float, default=1e-8)
+    p.add_argument("--circular-tol", type=float, default=CIRCULAR_TOL)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("fmt-check", help="contraction-norm table of a kernel")
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("circularity", help="pseudo-covariance check of a vector file")
     p.add_argument("vector")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=CIRCULAR_TOL)
     p.set_defaults(func=cmd_circularity)
 
     p = sub.add_parser("sample", help="Monte Carlo batch of a kernel/chaos file (CSV)")

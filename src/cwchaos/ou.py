@@ -22,7 +22,7 @@ moment, gap and contraction routes, and all three gap routes cross-check it.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from math import exp, isfinite, sqrt
 
 import numpy as np
@@ -94,8 +94,8 @@ class GridSpec:
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 2:
+            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
 
     @classmethod
     def from_spacing(cls, T: float, dt: float) -> "GridSpec":
@@ -131,6 +131,13 @@ def _subdiagonal_factor(lam, spacing):
     return np.sqrt(1.0 + 0.5 * np.exp(2.0 * lam * spacing))
 
 
+def _lower_exp(params: OUParams, t: np.ndarray) -> np.ndarray:
+    """exp(-conj(gamma)(t_i - t_j)) on the strict lower triangle t_j < t_i, zero elsewhere."""
+    diff = t[:, None] - t[None, :]
+    mask = diff > 0
+    return np.where(mask, np.exp(-np.conj(params.gamma) * np.where(mask, diff, 0.0)), 0.0)
+
+
 def numerator_kernel(params: OUParams, grid: GridSpec) -> Kernel:
     """Discretized kernel of the numerator statistic: (1/sqrt(T)) exp(-conj(gamma)(t-s))
     on the strict triangle s < t, zero on and above the diagonal.
@@ -149,10 +156,7 @@ def numerator_kernel(params: OUParams, grid: GridSpec) -> Kernel:
     """
     space = grid.space(params.T)
     t = space.grid
-    diff = t[:, None] - t[None, :]
-    mask = diff > 0
-    vals = np.where(mask, np.exp(-np.conj(params.gamma) * np.where(mask, diff, 0.0)), 0.0)
-    vals /= sqrt(params.T)
+    vals = _lower_exp(params, t) / sqrt(params.T)
     if params.H == 0.5:
         i = np.arange(1, grid.m)
         vals[i, i - 1] *= _subdiagonal_factor(params.lam, np.diff(t))
@@ -164,34 +168,29 @@ def occupation_kernel(params: OUParams, grid: GridSpec) -> Kernel:
     exponential decay on both triangles minus a rank-one boundary correction.
     Diagonal value 1 - exp(-2 lam (T - t))."""
     space = grid.space(params.T)
-    t = space.grid
-    g = params.gamma
-    gb = np.conj(g)
-    T = params.T
-    diff = t[:, None] - t[None, :]
-    lo = diff >= 0
-    lower = np.where(lo, np.exp(-gb * np.where(lo, diff, 0.0)), 0.0)
-    upper = np.where(~lo, np.exp(g * np.where(~lo, diff, 0.0)), 0.0)
-    boundary = np.exp(-g * (T - t))[:, None] * np.exp(-gb * (T - t))[None, :]
-    return Kernel(space, 1, 1, lower + upper - boundary, symmetric=True)
+    low = _lower_exp(params, space.grid)
+    edge = np.exp(-params.gamma * (params.T - space.grid))
+    vals = np.eye(grid.m) + low + low.conj().T - np.outer(edge, edge.conj())
+    return Kernel(space, 1, 1, vals, symmetric=True)
+
+
+def _variance_factor(params: OUParams) -> float:
+    """2 lam E|F_T|^2 = 1 + exp(-2 lam T)/(2 lam T) - 1/(2 lam T)."""
+    x = 2 * params.lam * params.T
+    return 1.0 + exp(-x) / x - 1.0 / x
 
 
 def abs_sq_mean_closed(params: OUParams) -> float:
     """Closed form of E|F_T|^2 = 1/(2 lam) + exp(-2 lam T)/(4 lam^2 T) - 1/(4 lam^2 T)."""
-    lam, T = params.lam, params.T
-    return 1.0 / (2 * lam) + exp(-2 * lam * T) / (4 * lam**2 * T) - 1.0 / (4 * lam**2 * T)
+    return _variance_factor(params) / (2 * params.lam)
 
 
 def normalization_factor(params: OUParams) -> float:
-    """Multiplier nu with E|nu F_T|^2 = 1/(2 lam) exactly under the closed form:
-    nu = (1 + exp(-2 lam T)/(2 lam T) - 1/(2 lam T))^(-1/2).
-
-    Raises for horizons so short that the parenthesized factor is nonpositive
-    (numerically: lam T below about 0.398)."""
-    lam, T = params.lam, params.T
-    factor = 1.0 + exp(-2 * lam * T) / (2 * lam * T) - 1.0 / (2 * lam * T)
+    """nu = (2 lam E|F_T|^2)^(-1/2), so that E|nu F_T|^2 = 1/(2 lam) under the closed
+    form.  Raises where rounding leaves 2 lam E|F_T|^2 nonpositive (lam T below about 1e-8)."""
+    factor = _variance_factor(params)
     if factor <= 0.0:
-        raise ValueError(f"variance factor {factor:.3e} <= 0: horizon too short (lam T = {lam * T:.3f})")
+        raise ValueError(f"variance factor {factor:.3e} <= 0: horizon too short (T = {params.T!r})")
     return factor ** -0.5
 
 
@@ -207,23 +206,15 @@ class TriangularQuantities:
     closed expansions of the gap and agree to roundoff.
     """
 
-    T: float
-    m: int
     var: float
-    pseudo: float
     gap_v1: float
     gap_v2: float
-    e3_abs: float
     e3_mixed_abs: float
     fmt_10_sq: float
     fmt_01_sq: float
 
-    @property
-    def gap(self) -> float:
-        return self.gap_v1
 
-
-def triangular_quantities(params: OUParams, m: int, normalized: bool = True) -> TriangularQuantities:
+def triangular_quantities(params: OUParams, m: int) -> TriangularQuantities:
     """Prefix-sum evaluation of the sweep quantities on the m-point midpoint grid.
 
     Up to a unimodular diagonal similarity, which leaves every quantity here
@@ -235,6 +226,7 @@ def triangular_quantities(params: OUParams, m: int, normalized: bool = True) -> 
     """
     if params.H != 0.5:
         raise ValueError("structured quantities are for the H = 1/2 branch")
+    GridSpec(m)  # an integer m >= 2, or ValueError
     lam, T = params.lam, params.T
     dt = T / m
     c = 1.0 / sqrt(T)
@@ -278,15 +270,11 @@ def triangular_quantities(params: OUParams, m: int, normalized: bool = True) -> 
     gap_v1 = m1_sq + m2_sq + 4.0 * kwk_sq
     gap_v2 = m1_sq + m2_sq + 2.0 * m1m2 + 2.0 * kwk_sq
 
-    nu = normalization_factor(params) if normalized else 1.0
+    nu = normalization_factor(params)
     return TriangularQuantities(
-        T=T,
-        m=m,
         var=nu**2 * var,
-        pseudo=0.0,
         gap_v1=nu**4 * gap_v1,
         gap_v2=nu**4 * gap_v2,
-        e3_abs=0.0,
         e3_mixed_abs=nu**3 * abs(e21),
         fmt_10_sq=nu**4 * m1_sq,
         fmt_01_sq=nu**4 * m2_sq,
@@ -316,12 +304,9 @@ class RateTable:
     slope_e3_mixed: float | None
 
     def to_csv(self) -> str:
-        lines = ["T,m,var,gap,e3_mixed,e3,fmt_10_sq,fmt_01_sq,be_upper_circular"]
-        for r in self.rows:
-            lines.append(
-                f"{r.T!r},{r.m},{r.var!r},{r.gap!r},{r.e3_mixed!r},{r.e3!r},"
-                f"{r.fmt_10_sq!r},{r.fmt_01_sq!r},{r.be_upper_circular!r}"
-            )
+        names = [f.name for f in fields(RateRow)]
+        lines = [",".join(names)]
+        lines += [",".join(repr(getattr(r, name)) for name in names) for r in self.rows]
         lines.append(f"# slope_gap={self.slope_gap!r}")
         if self.slope_e3_mixed is not None:
             lines.append(f"# slope_e3_mixed={self.slope_e3_mixed!r}")
@@ -359,10 +344,11 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
         params = replace(base, T=T)
         if base.H == 0.5:
             tq = triangular_quantities(params, grid.m)
-            quantity = tq.gap_v1 + tq.pseudo**2
-            be_circ = _circular_bound(tq.var, quantity, 2)  # F_T = I_{1,1}: order 2
+            # the strictly lower triangular kernel makes the pseudo-moment E F_T^2
+            # and E F_T^3 exactly 0, so the circular bound's quantity is the gap
+            be_circ = _circular_bound(tq.var, tq.gap_v1, 2)  # F_T = I_{1,1}: order 2
             rows.append(RateRow(T=T, m=grid.m, var=tq.var, gap=tq.gap_v1,
-                                e3_mixed=tq.e3_mixed_abs, e3=tq.e3_abs,
+                                e3_mixed=tq.e3_mixed_abs, e3=0.0,
                                 fmt_10_sq=tq.fmt_10_sq, fmt_01_sq=tq.fmt_01_sq,
                                 be_upper_circular=be_circ))
         else:
@@ -405,20 +391,20 @@ def fbm_gram(params: OUParams, grid: GridSpec) -> np.ndarray:
 def fbm_inner(f: Kernel, g: Kernel, params: OUParams) -> complex:
     """Fractional inner product <f, g>_H with the Gram applied slotwise.
 
-    Kernels must share the midpoint space of some [0, T] (``GridSpec.space``),
-    whose cells the Gram integrates over; any other space raises SpaceError.
-    H = 1/2 reduces to the ordinary weighted inner product.
+    Kernels must share the midpoint space of [0, params.T] (``GridSpec.space``),
+    whose cells the Gram integrates over; any other space, including the
+    midpoint cells of another horizon, raises SpaceError.  H = 1/2 reduces to
+    the ordinary weighted inner product.
     """
     f._check_peer(g)
     if f.space.grid is None:
         raise SpaceError("fbm_inner needs a gridded space")
     grid = GridSpec(m=f.space.n)
-    pars = replace(params, T=float(f.space.grid[-1] + f.space.weights[-1] / 2.0))
-    t, w = grid.nodes_weights(pars.T)
-    if not (np.allclose(f.space.grid, t, rtol=0.0, atol=1e-12 * pars.T)
+    t, w = grid.nodes_weights(params.T)
+    if not (np.allclose(f.space.grid, t, rtol=0.0, atol=1e-12 * params.T)
             and np.allclose(f.space.weights, w, rtol=1e-12, atol=0.0)):
-        raise SpaceError("fbm_inner needs the midpoint cells of [0, T]")
-    gram = fbm_gram(pars, grid)
+        raise SpaceError(f"fbm_inner needs the midpoint cells of [0, T] with T = {params.T!r}")
+    gram = fbm_gram(params, grid)
     out = f.coeffs
     for ax in range(f.degree):
         out = np.tensordot(gram, out, axes=(1, ax))
@@ -479,9 +465,8 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int,
-                     normalized: bool = True) -> SampleBatch:
-    """Monte Carlo batch of the (normalized) numerator statistic.
+def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> SampleBatch:
+    """Monte Carlo batch of the numerator statistic scaled by ``normalization_factor``.
 
     Evaluates the quadratic form sum_{j<i} K_{ij} Z_i conj(Z_j) of
     ``numerator_kernel`` by one walk down the grid per sample block: row i pairs
@@ -505,7 +490,7 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int,
     dt = T / m
     a = np.exp(-params.gamma * dt)
     band = (_subdiagonal_factor(params.lam, dt) - 1.0) * a
-    scale = dt / sqrt(T) * (normalization_factor(params) if normalized else 1.0)
+    scale = dt / sqrt(T) * normalization_factor(params)
 
     block = max(1024, min(1 << 16, (8 << 20) // m))
     values = np.empty(N, dtype=complex)
@@ -610,7 +595,7 @@ def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
     lhs = dt / T * np.sum(np.abs(Z[:-1]) ** 2, axis=0)
 
     var_T = (1.0 - exp(-2 * lam * T)) / (2 * lam)
-    mean_part = 1.0 / (2 * lam) - (1.0 - exp(-2 * lam * T)) / (4 * lam**2 * T)
+    mean_part = abs_sq_mean_closed(params)
     rhs = (1.0 / (2 * lam)) * (2.0 * F.real / sqrt(T)
                                - (np.abs(Z[-1]) ** 2 - var_T) / T) + mean_part
 

@@ -21,7 +21,7 @@ chunks, real parts first, then imaginary parts, each scaled by the reciprocal
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, pi, sqrt
+from math import comb, factorial, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -62,32 +62,30 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class GaussianTarget:
-    """Reference complex Gaussian law: circular(sigma_sq) or the general
-    bivariate law of (Re, Im) with covariance [[s+a, b], [b, s-a]] / 2."""
+    """Reference complex Gaussian law with E|G|^2 = sigma_sq and E G^2 = a + i b:
+    (Re, Im) has covariance [[s+a, b], [b, s-a]] / 2.  a = b = 0 is circular."""
 
-    kind: str
     sigma_sq: float
     a: float = 0.0
     b: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("circular", "bivariate"):
-            raise ValueError(f"unknown target kind {self.kind!r}")
+        if not all(isfinite(v) for v in (self.sigma_sq, self.a, self.b)):
+            raise ValueError("sigma_sq, a and b must be finite")
         eigs = np.linalg.eigvalsh(self.covariance())
         if eigs[0] < -1e-12 * max(abs(eigs[-1]), 1.0):
             raise ValueError("covariance is not positive semidefinite")
 
     @classmethod
     def circular(cls, sigma_sq: float) -> "GaussianTarget":
-        return cls(kind="circular", sigma_sq=sigma_sq)
+        return cls(sigma_sq=sigma_sq)
 
     @classmethod
     def bivariate(cls, a: float, b: float, sigma_sq: float) -> "GaussianTarget":
-        return cls(kind="bivariate", sigma_sq=sigma_sq, a=a, b=b)
+        return cls(sigma_sq=sigma_sq, a=a, b=b)
 
     def covariance(self) -> np.ndarray:
-        a, b = (0.0, 0.0) if self.kind == "circular" else (self.a, self.b)
-        s = self.sigma_sq
+        s, a, b = self.sigma_sq, self.a, self.b
         return 0.5 * np.array([[s + a, b], [b, s - a]])
 
 
@@ -216,7 +214,8 @@ def sample_gaussian(target: GaussianTarget, N: int, seed: int) -> SampleBatch:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     g = rng.standard_normal((2, N))
     xy = L @ g
-    meta = f"sample_gaussian {target.kind} seed={seed} N={N} version={GENERATOR_VERSION}"
+    meta = (f"sample_gaussian sigma_sq={target.sigma_sq!r} a={target.a!r} b={target.b!r} "
+            f"seed={seed} N={N} version={GENERATOR_VERSION}")
     return SampleBatch(values=xy[0] + 1j * xy[1], seed=seed, meta=meta)
 
 

@@ -41,6 +41,36 @@ def one_call_complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
+def separate_numerator_coeffs(params, grid) -> np.ndarray:
+    """The numerator kernel's coefficients from expressions of their own: a
+    strict-lower mask, the 1/sqrt(T) scale applied in place, and the
+    first-subdiagonal band at H = 1/2.  Same-input oracle for ``numerator_kernel``."""
+    t = grid.space(params.T).grid
+    diff = t[:, None] - t[None, :]
+    mask = diff > 0
+    vals = np.where(mask, np.exp(-np.conj(params.gamma) * np.where(mask, diff, 0.0)), 0.0)
+    vals /= sqrt(params.T)
+    if params.H == 0.5:
+        i = np.arange(1, grid.m)
+        vals[i, i - 1] *= np.sqrt(1.0 + 0.5 * np.exp(2.0 * params.lam * np.diff(t)))
+    return vals
+
+
+def separate_occupation_coeffs(params, grid) -> np.ndarray:
+    """The occupation kernel's coefficients with the lower triangle (diagonal
+    included), the upper triangle and the boundary term each from their own
+    exponentials.  Same-input oracle for ``occupation_kernel``."""
+    t = grid.space(params.T).grid
+    g = params.gamma
+    gb = np.conj(g)
+    diff = t[:, None] - t[None, :]
+    lo = diff >= 0
+    lower = np.where(lo, np.exp(-gb * np.where(lo, diff, 0.0)), 0.0)
+    upper = np.where(~lo, np.exp(g * np.where(~lo, diff, 0.0)), 0.0)
+    boundary = np.exp(-g * (params.T - t))[:, None] * np.exp(-gb * (params.T - t))[None, :]
+    return lower + upper - boundary
+
+
 def contract_reference(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     """Contraction by explicit index loops; the oracle for the tensordot path.
 

@@ -9,12 +9,11 @@ half-cell mass on its first subdiagonal; details in the test docstring.
 from __future__ import annotations
 
 import time
-from math import exp, factorial, sqrt
+from math import factorial, sqrt
 
 import numpy as np
-import pytest
 
-from cwchaos.bounds import be_upper_multivariate, be_upper_circular, fmt_norms
+from cwchaos.bounds import be_upper_multivariate, be_upper_circular
 from cwchaos.chaos import (
     ChaosVariable,
     ChaosVector,
@@ -25,7 +24,6 @@ from cwchaos.chaos import (
     multiply,
     pairing_expectation,
     product_expectation,
-    third_moments_closed,
 )
 from cwchaos.ou import (
     GridSpec,

@@ -26,7 +26,7 @@ from cwchaos.chaos import (
     product_expectation,
     third_moments_closed,
 )
-from cwchaos.space import Kernel, SpaceError, SpaceSpec, inner_product, norm_sq, reverse_conjugate
+from cwchaos.space import Kernel, SpaceError, SpaceSpec, inner_product, norm_sq
 
 from conftest import random_kernel, random_space
 

@@ -7,7 +7,7 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from math import exp, sqrt
 
 import numpy as np
@@ -17,7 +17,6 @@ from cwchaos import ou
 from cwchaos.bounds import fmt_norms
 from cwchaos.chaos import fourth_gap, moment_report, third_moments_closed
 from cwchaos.ou import (
-    DenominatorReport,
     GridSpec,
     OUParams,
     abs_sq_mean_closed,
@@ -37,6 +36,8 @@ from cwchaos.ou import (
 )
 from cwchaos.sampling import _block_rng, _complex_normal
 from cwchaos.space import Kernel, SpaceError, SpaceSpec, inner_product, norm_sq, reverse_conjugate
+
+from conftest import separate_numerator_coeffs, separate_occupation_coeffs
 
 
 # -- parameters and grids ---------------------------------------------------------
@@ -69,7 +70,30 @@ def test_grid_rules():
     assert np.sum(w) == pytest.approx(2.0)
 
 
+def test_grid_size_must_be_an_integer_of_at_least_two():
+    p = OUParams(lam=1.0, omega=0.3, T=4.0)
+    for bad in (0, 1, -3, 2.5, 4.0, True, np.float64(8.0), "8"):
+        with pytest.raises(ValueError, match="integer"):
+            GridSpec(m=bad)
+        with pytest.raises(ValueError, match="integer"):
+            triangular_quantities(p, bad)
+    assert GridSpec(m=np.int64(5)).space(1.0).n == 5
+    assert triangular_quantities(p, np.int64(40)) == triangular_quantities(p, 40)
+
+
 # -- kernels ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam,omega,T,m", [(1.0, 0.6, 4.0, 40), (0.8, -1.3, 20.0, 300),
+                                           (2.0, 0.0, 1.0, 7), (1.0, 0.5, 3.0, 2)])
+def test_kernels_equal_their_separate_builders(lam, omega, T, m):
+    # both kernels come from one exponential triangle; each must be bit for bit
+    # what its own expressions gave
+    for H in (0.5, 0.7):
+        p = OUParams(lam=lam, omega=omega, T=T, H=H)
+        g = GridSpec(m=m)
+        assert np.array_equal(numerator_kernel(p, g).coeffs, separate_numerator_coeffs(p, g))
+        assert np.array_equal(occupation_kernel(p, g).coeffs, separate_occupation_coeffs(p, g))
 
 
 def test_numerator_kernel_strict_triangle():
@@ -294,6 +318,17 @@ def test_fbm_inner_rejects_non_midpoint_space():
     assert fbm_inner(mid, mid, OUParams(lam=1.0, T=2.0, H=0.7)) == pytest.approx(2.0**1.4, rel=1e-12)
 
 
+def test_fbm_inner_checks_the_horizon_of_params():
+    # the cells must be those of [0, params.T]; a T = 4 kernel paired under
+    # T = 99 used to give the T = 4 value, 4^1.4 = 6.9644
+    f = Kernel(GridSpec(m=20).space(4.0), 1, 0, np.ones(20))
+    for H in (0.5, 0.7):
+        assert fbm_inner(f, f, OUParams(lam=1.0, T=4.0, H=H)) == pytest.approx(4.0 ** (2 * H), rel=1e-12)
+        for T in (99.0, 2.0, 4.0 * (1 + 1e-9)):
+            with pytest.raises(SpaceError, match="T ="):
+                fbm_inner(f, f, OUParams(lam=1.0, T=T, H=H))
+
+
 def test_fractional_quantities_match_brute_force():
     # tiny-grid reference evaluation of the Gram-paired contractions
     p = OUParams(lam=1.0, omega=0.4, T=2.0, H=0.7)
@@ -333,8 +368,8 @@ def test_fractional_quantities_match_brute_force():
 def test_fractional_standard_branch_matches_structured():
     p = OUParams(lam=1.0, omega=0.2, T=6.0, H=0.5)
     fq = asdict(_whitened_row(p, GridSpec(m=100)))
-    tq = triangular_quantities(p, 100, normalized=False)
-    assert fq["var"] == pytest.approx(tq.var, rel=1e-12)
+    tq = triangular_quantities(p, 100)
+    assert fq["var"] == pytest.approx(tq.var / normalization_factor(p) ** 2, rel=1e-12)
     assert fq["gap"] == pytest.approx(tq.gap_v1 / tq.var**2, rel=1e-11)
     assert fq["e3_mixed"] == pytest.approx(tq.e3_mixed_abs / tq.var**1.5, rel=1e-11)
 

@@ -246,6 +246,26 @@ def test_gaussian_rejects_non_psd():
         GaussianTarget.bivariate(2.0, 0.0, 1.0)  # |a| > sigma^2
 
 
+def test_gaussian_target_rejects_non_finite():
+    # a NaN covariance passed the eigenvalue test and sampled NaN values
+    nan, inf = float("nan"), float("inf")
+    for make in (lambda: GaussianTarget.circular(nan), lambda: GaussianTarget.circular(inf),
+                 lambda: GaussianTarget.bivariate(nan, 0.0, 1.0),
+                 lambda: GaussianTarget.bivariate(0.0, -inf, 1.0),
+                 lambda: GaussianTarget(sigma_sq=1.0, b=nan)):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
+def test_gaussian_target_fields_and_meta():
+    assert GaussianTarget.circular(1.5) == GaussianTarget(sigma_sq=1.5, a=0.0, b=0.0)
+    t = GaussianTarget.bivariate(0.25, -0.5, 1.5)
+    assert (t.sigma_sq, t.a, t.b) == (1.5, 0.25, -0.5)
+    assert np.array_equal(t.covariance(), 0.5 * np.array([[1.75, -0.5], [-0.5, 1.25]]))
+    meta = sample_gaussian(t, 10, seed=3).meta
+    assert meta.startswith("sample_gaussian sigma_sq=1.5 a=0.25 b=-0.5 seed=3 N=10 ")
+
+
 # -- Wasserstein estimators ------------------------------------------------------------------
 
 
