@@ -12,23 +12,23 @@ On the standard-Brownian branch (H = 1/2) the sweep uses O(m) prefix-sum
 evaluations that exploit the exponential Toeplitz structure, so horizons with
 tens of thousands of nodes stay cheap; a dense-kernel cross-check at small m
 lives in the test suite.  The fractional branch (1/2 < H < 3/4) replaces the
-diagonal Gram by the full two-time Gram matrix G with cell-exact integration of
-the |u - v|^{2H-2} singularity.  Its sweep whitens the kernel: with
-G = L L^T (Cholesky), L^T K L on the orthonormal space has every inner product
-and contraction that K has under G, so the branch runs the library's own
-moment, gap and contraction routes, and all three gap routes cross-check it.
+diagonal Gram by the Toeplitz two-time Gram matrix G, integrating the
+|u - v|^{2H-2} singularity exactly over the cells.  Its sweep whitens the
+kernel: with G = L L^T (Cholesky), A = L^T K L on the orthonormal space has
+every inner product and contraction that K has under G, and each row field is
+a Frobenius sum over A, A A and A^H A.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from math import exp, isfinite, sqrt
+from math import exp, factorial, isfinite, sqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .bounds import _circular_bound, fmt_norms
-from .chaos import _second_moments, fourth_gap, third_moments_closed
+from .bounds import _circular_bound
 from .sampling import GENERATOR_VERSION, SampleBatch, _block_rng, _complex_normal
 from .space import ENTRY_CAP, Kernel, SpaceError, SpaceSpec
 
@@ -175,9 +175,15 @@ def occupation_kernel(params: OUParams, grid: GridSpec) -> Kernel:
 
 
 def _variance_factor(params: OUParams) -> float:
-    """2 lam E|F_T|^2 = 1 + exp(-2 lam T)/(2 lam T) - 1/(2 lam T)."""
+    """2 lam E|F_T|^2 = 1 + exp(-x)/x - 1/x with x = 2 lam T; below x = 1, where
+    that form cancels, the series x/2 - x^2/6 + x^3/24 - ... (20 terms)."""
     x = 2 * params.lam * params.T
-    return 1.0 + exp(-x) / x - 1.0 / x
+    if x >= 1.0:
+        return 1.0 + exp(-x) / x - 1.0 / x
+    total = 0.0
+    for k in range(20, 0, -1):         # the first term dropped, x^21/22!, is below 1e-21
+        total = x * (1.0 / factorial(k + 1) - total)
+    return total
 
 
 def abs_sq_mean_closed(params: OUParams) -> float:
@@ -187,7 +193,7 @@ def abs_sq_mean_closed(params: OUParams) -> float:
 
 def normalization_factor(params: OUParams) -> float:
     """nu = (2 lam E|F_T|^2)^(-1/2), so that E|nu F_T|^2 = 1/(2 lam) under the closed
-    form.  Raises where rounding leaves 2 lam E|F_T|^2 nonpositive (lam T below about 1e-8)."""
+    form.  Raises only where that factor underflows to 0 (2 lam T below 1e-323)."""
     factor = _variance_factor(params)
     if factor <= 0.0:
         raise ValueError(f"variance factor {factor:.3e} <= 0: horizon too short (T = {params.T!r})")
@@ -368,24 +374,22 @@ def fbm_gram(params: OUParams, grid: GridSpec) -> np.ndarray:
 
     Entry (a, b) integrates alpha_H |u - v|^(2H-2) exactly over cell_a x cell_b
     (the singularity is integrable; pointwise evaluation would be wrong), so a
-    piecewise-constant kernel gets its exact fractional pairing.  H = 1/2
-    returns the diagonal quadrature Gram.
+    piecewise-constant kernel gets its exact fractional pairing.  On cells of
+    width h, G is Toeplitz with generator g(d) = alpha_H h^(2H) (|d+1|^(2H) +
+    |d-1|^(2H) - 2 d^(2H)) / (2H (2H-1)), d = |a - b|, and alpha_H / (2H (2H-1))
+    = 1/2.  Consecutive first differences of k^(2H) lie within a factor 2, so
+    the second difference is exact and sum(G) telescopes to T^(2H) within a few
+    ulps.  H = 1/2 returns the diagonal quadrature Gram.
     """
-    t, w = grid.nodes_weights(params.T)
     if params.H == 0.5:
-        return np.diag(w)
-    H = params.H
-    left = t - w / 2.0
-    right = t + w / 2.0
-
-    def primitive(xs: np.ndarray) -> np.ndarray:
-        return np.abs(xs) ** (2 * H) / ((2 * H - 1) * (2 * H))
-
-    gram = (primitive(right[:, None] - left[None, :])
-            + primitive(left[:, None] - right[None, :])
-            - primitive(right[:, None] - right[None, :])
-            - primitive(left[:, None] - left[None, :]))
-    return params.alpha_h * gram
+        return np.diag(grid.nodes_weights(params.T)[1])
+    m = grid.m
+    first = np.diff(np.arange(m + 1, dtype=float) ** (2 * params.H))
+    scale = 0.5 * (params.T / m) ** (2 * params.H)          # alpha_H h^(2H) / (2H (2H-1))
+    gen = scale * np.concatenate(([2.0 * first[0]], np.diff(first)))
+    # r[m-1+k] = gen[|k|] and window i is r[i:i+m], so row a of the reversed
+    # windows holds r[m-1-a+b] = gen[|a-b|]
+    return sliding_window_view(np.concatenate((gen[::-1], gen[1:])), m)[::-1].copy()
 
 
 def fbm_inner(f: Kernel, g: Kernel, params: OUParams) -> complex:
@@ -426,19 +430,27 @@ def _whitened_kernel(params: OUParams, grid: GridSpec) -> Kernel:
 
 
 def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:
-    """Sweep row under the fractional Gram from the library's moment, gap and
-    contraction routes on the whitened kernel: ``var`` is the raw variance, the
-    other fields are those of the statistic scaled to unit variance."""
-    f = _whitened_kernel(params, grid)
-    var, pseudo = _second_moments(f)
-    third, third_mixed = third_moments_closed(f)
-    norms = fmt_norms(f)
+    """Sweep row under the fractional Gram from the whitened matrix A and two
+    products, P = A A and Q = A^H A: var = ||A||^2, E F^2 = sum A o A^T,
+    E F^3 = 2 sum P o A^T, E F^2 conj(F) = 2 <P, A>, both squared contraction
+    norms are ||Q||^2 (||A A^H|| = ||A^H A|| by trace cyclicity) and the gap is
+    2 ||Q||^2 + 4 ||P||^2.  ``var`` is the raw variance, the other fields those
+    of the statistic scaled to unit variance.  The generic routes on the
+    whitened kernel are the test suite's oracle."""
+    A = _whitened_kernel(params, grid).coeffs
+    P = A @ A
+    Q = A.conj().T @ A
+    var = float(np.vdot(A, A).real)
+    pseudo = complex(np.sum(A * A.T))
+    third = 2.0 * complex(np.sum(P * A.T))
+    third_mixed = 2.0 * complex(np.vdot(A, P))
+    fmt_sq = float(np.vdot(Q, Q).real) / var**2
     # normalize to unit variance: the gap is quartic, third moments cubic
-    gap = fourth_gap(f, "v1") / var**2
+    gap = 2.0 * fmt_sq + 4.0 * float(np.vdot(P, P).real) / var**2
     quantity = gap + (abs(pseudo) / var) ** 2
     return RateRow(T=params.T, m=grid.m, var=var, gap=gap,
                    e3_mixed=abs(third_mixed) / var**1.5, e3=abs(third) / var**1.5,
-                   fmt_10_sq=norms[1, 0] ** 2 / var**2, fmt_01_sq=norms[0, 1] ** 2 / var**2,
+                   fmt_10_sq=fmt_sq, fmt_01_sq=fmt_sq,
                    be_upper_circular=_circular_bound(1.0, quantity, 2))  # unit variance, order 2
 
 

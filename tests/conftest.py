@@ -9,6 +9,9 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
+from cwchaos.bounds import _circular_bound, fmt_norms
+from cwchaos.chaos import _second_moments, fourth_gap, third_moments_closed
+from cwchaos.ou import RateRow, _whitened_kernel
 from cwchaos.sampling import hermite_hl
 from cwchaos.space import Kernel, SpaceSpec, _apply_weights, symmetrize
 
@@ -142,3 +145,37 @@ def profile_sample(F, Z: np.ndarray) -> np.ndarray:
                 term *= 2.0 ** (-(a + b) / 2.0) * hermite_hl(a, b, sqrt(2.0) * Z[k])
             out += term
     return out
+
+
+def cell_integral_gram(params, grid) -> np.ndarray:
+    """The fractional Gram from four primitives of alpha_H |u - v|^(2H-2) at the
+    cell edges, entry by entry; the oracle for ``fbm_gram``'s Toeplitz generator."""
+    t, w = grid.nodes_weights(params.T)
+    H = params.H
+    left = t - w / 2.0
+    right = t + w / 2.0
+
+    def primitive(xs: np.ndarray) -> np.ndarray:
+        return np.abs(xs) ** (2 * H) / ((2 * H - 1) * (2 * H))
+
+    gram = (primitive(right[:, None] - left[None, :])
+            + primitive(left[:, None] - right[None, :])
+            - primitive(right[:, None] - right[None, :])
+            - primitive(left[:, None] - left[None, :]))
+    return params.alpha_h * gram
+
+
+def generic_whitened_row(params, grid) -> RateRow:
+    """Fractional sweep row from the library's generic moment, gap and
+    contraction routes on the whitened kernel; the oracle for ``ou._whitened_row``."""
+    f = _whitened_kernel(params, grid)
+    var, pseudo = _second_moments(f)
+    third, third_mixed = third_moments_closed(f)
+    norms = fmt_norms(f)
+    # normalize to unit variance: the gap is quartic, third moments cubic
+    gap = fourth_gap(f, "v1") / var**2
+    quantity = gap + (abs(pseudo) / var) ** 2
+    return RateRow(T=params.T, m=grid.m, var=var, gap=gap,
+                   e3_mixed=abs(third_mixed) / var**1.5, e3=abs(third) / var**1.5,
+                   fmt_10_sq=norms[1, 0] ** 2 / var**2, fmt_01_sq=norms[0, 1] ** 2 / var**2,
+                   be_upper_circular=_circular_bound(1.0, quantity, 2))  # unit variance, order 2

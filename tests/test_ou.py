@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import decimal
 import itertools
 import os
 import sys
@@ -37,7 +38,12 @@ from cwchaos.ou import (
 from cwchaos.sampling import _block_rng, _complex_normal
 from cwchaos.space import Kernel, SpaceError, SpaceSpec, inner_product, norm_sq, reverse_conjugate
 
-from conftest import separate_numerator_coeffs, separate_occupation_coeffs
+from conftest import (
+    cell_integral_gram,
+    generic_whitened_row,
+    separate_numerator_coeffs,
+    separate_occupation_coeffs,
+)
 
 
 # -- parameters and grids ---------------------------------------------------------
@@ -175,6 +181,22 @@ def test_normalization_factor_positive_for_short_horizons():
         assert np.isfinite(nu) and nu > 1.0
 
 
+def test_variance_closed_form_matches_decimal_oracle_at_short_horizons():
+    # the direct form 1 + e^(-x)/x - 1/x (x = 2 lam T) cancels at small x (at
+    # lam = 1, T = 1e-9 it gives nu = 4096 against 31623); 50-digit decimal has
+    # digits to spare after that cancellation
+    ctx = decimal.Context(prec=50)
+    for lam in (1.0, 0.37):
+        for lamT in np.logspace(-12, 1, 53):
+            p = OUParams(lam=lam, T=float(lamT) / lam)
+            x = ctx.multiply(decimal.Decimal(2 * lam), decimal.Decimal(p.T))
+            factor = ctx.subtract(ctx.add(1, ctx.divide(ctx.exp(-x), x)), ctx.divide(1, x))
+            nu = ctx.divide(1, ctx.sqrt(factor))
+            mean = ctx.divide(factor, decimal.Decimal(2 * lam))
+            assert normalization_factor(p) == pytest.approx(float(nu), rel=1e-14, abs=0.0)
+            assert abs_sq_mean_closed(p) == pytest.approx(float(mean), rel=1e-14, abs=0.0)
+
+
 def test_normalized_variance_is_half_over_lam():
     for lam, T in [(1.0, 10.0), (0.5, 30.0), (2.0, 5.0)]:
         p = OUParams(lam=lam, T=T)
@@ -277,6 +299,27 @@ def test_fbm_gram_constant_kernel_unit_mass():
         assert np.sum(G) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("H", [0.55, 0.7, 0.74])
+@pytest.mark.parametrize("m", [2, 3, 40, 1000])
+def test_fbm_gram_generator_matches_cell_integrals(H, m):
+    p = OUParams(lam=1.0, T=3.7, H=H)
+    G = fbm_gram(p, GridSpec(m=m))
+    ref = cell_integral_gram(p, GridSpec(m=m))
+    assert np.max(np.abs(G - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(G[1:, 1:], G[:-1, :-1])
+
+
+@pytest.mark.parametrize("H", [0.55, 0.7, 0.74])
+def test_fbm_gram_total_mass_telescopes(H):
+    # sum(G) = alpha_H int int_{[0,T]^2} |u-v|^(2H-2) = T^(2H); the four-primitive
+    # cell integrals miss it by up to 7e-13 on these grids
+    for m in (250, 400, 1000):
+        for T in (1.0, 3.7, 200.0):
+            G = fbm_gram(OUParams(lam=1.0, T=T, H=H), GridSpec(m=m))
+            assert np.sum(G) == pytest.approx(T ** (2 * H), rel=1e-14, abs=0.0)
+
+
 def test_fbm_gram_standard_branch_is_diagonal():
     g = GridSpec(m=16)
     G = fbm_gram(OUParams(lam=1.0, T=2.0, H=0.5), g)
@@ -363,6 +406,24 @@ def test_fractional_quantities_match_brute_force():
     assert got["var"] == pytest.approx(var, rel=1e-12)
     assert got["gap"] == pytest.approx(gap, rel=1e-12)
     assert got["e3_mixed"] == pytest.approx(e21, rel=1e-12)
+    assert got["fmt_10_sq"] == pytest.approx(inner(M1, M1).real / var**2, rel=1e-12)
+    assert got["fmt_01_sq"] == pytest.approx(inner(M2, M2).real / var**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("H", [0.55, 0.6, 0.7, 0.74])
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+@pytest.mark.parametrize("m", [2, 5, 40, 200])
+def test_whitened_row_matches_generic_routes(H, omega, m):
+    # two matrix products against the generic moment, gap and contraction
+    # routes on the same whitened kernel
+    p = OUParams(lam=1.0, omega=omega, T=0.2 * m, H=H)
+    g = GridSpec(m=m)
+    got = asdict(_whitened_row(p, g))
+    want = asdict(generic_whitened_row(p, g))
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, rel=1e-12), name
+    assert got["fmt_10_sq"] == got["fmt_01_sq"]
 
 
 def test_fractional_standard_branch_matches_structured():
