@@ -61,7 +61,6 @@ from .bounds import (
 from .sampling import (
     GaussianTarget,
     SampleBatch,
-    exact_wasserstein_2d,
     hermite_hl,
     sample_chaos,
     sample_gaussian,

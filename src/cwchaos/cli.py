@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 on validation failures (unreadable or malformed
 inputs, violated preconditions), 3 on tolerance/assertion failures (route
-disagreement, slopes outside an asserted window, non-shrinking residuals).
+disagreement, slopes outside an asserted window, non-shrinking residuals, a
+fourth-moment gap outside its contraction-norm sandwich).
 Any other exception is an internal fault and propagates with its traceback.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isfinite
 
 from . import __version__
 from .bounds import (
@@ -24,11 +26,13 @@ from .bounds import (
     circularity_check,
     clt_conditions,
     fmt_norms,
+    gap_sandwich_constants,
 )
 from .chaos import (
     ChaosVariable,
     ChaosVector,
     chaos_from_json,
+    fourth_gap,
     moment_report,
 )
 from .ou import (
@@ -44,6 +48,9 @@ from .space import SpaceError, load_kernel
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
+
+#: Relative slack of the fmt-check gap sandwich, for the roundoff of its two sums.
+SANDWICH_SLACK = 1e-10
 
 
 def _write(text: str, path: str | None) -> None:
@@ -121,13 +128,26 @@ def cmd_bound(args) -> int:
 
 
 def cmd_fmt_check(args) -> int:
-    table = fmt_norms(load_kernel(args.kernel))
+    kern = load_kernel(args.kernel)
+    table = fmt_norms(kern)
+    c1, c2 = gap_sandwich_constants(kern.p, kern.q)
+    csum = sum(v * v for v in table.values())
+    c1_sum, gap, c2_sum = c1 * csum, fourth_gap(kern, "v1"), c2 * csum
+    sandwich = {"c1_sum": c1_sum, "gap": gap, "c2_sum": c2_sum}
     if args.format == "csv":
         lines = ["i,j,norm"] + [f"{i},{j},{v!r}" for (i, j), v in sorted(table.items())]
+        lines += [f"# {key}={value!r}" for key, value in sandwich.items()]
         _write("\n".join(lines) + "\n", args.output)
     else:
-        _write(json.dumps({f"{i},{j}": v for (i, j), v in sorted(table.items())}, indent=2),
-               args.output)
+        doc = {"fmt_norms": {f"{i},{j}": v for (i, j), v in sorted(table.items())},
+               **{key: value if isfinite(value) else None for key, value in sandwich.items()}}
+        _write(json.dumps(doc, indent=2), args.output)
+    # the main theorem's sandwich c1 sum <= gap <= c2 sum of the contraction norms
+    if not (c1_sum <= gap * (1 + SANDWICH_SLACK)
+            and gap <= c2_sum * (1 + SANDWICH_SLACK)):  # NaN fails
+        print(f"gap sandwich violated: c1_sum={c1_sum!r}, gap={gap!r}, c2_sum={c2_sum!r}",
+              file=sys.stderr)
+        return EXIT_TOLERANCE
     return EXIT_OK
 
 
@@ -183,7 +203,7 @@ def cmd_ou_verify(args) -> int:
     _write(json.dumps([r.to_json() for r in reports], indent=2), args.output)
     if args.check:
         means = [r.mean_abs_residual for r in reports]
-        if any(b >= a for a, b in zip(means, means[1:])):
+        if not all(b < a for a, b in zip(means, means[1:])):  # NaN fails
             print(f"residuals did not shrink across dt list: {means}", file=sys.stderr)
             return EXIT_TOLERANCE
     return EXIT_OK
@@ -223,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circular-tol", type=float, default=CIRCULAR_TOL)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("fmt-check", help="contraction-norm table of a kernel")
+    p = sub.add_parser("fmt-check", help="contraction-norm table of a kernel and the gap "
+                                         "sandwich (exit 3 if it fails)")
     p.add_argument("kernel")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -81,10 +81,6 @@ class OUParams:
     def gamma(self) -> complex:
         return self.lam - 1j * self.omega
 
-    @property
-    def alpha_h(self) -> float:
-        return self.H * (2.0 * self.H - 1.0)
-
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -37,7 +37,6 @@ __all__ = [
     "sample_gaussian",
     "wasserstein_1d",
     "sliced_wasserstein_2d",
-    "exact_wasserstein_2d",
     "save_batch",
 ]
 
@@ -235,8 +234,8 @@ def wasserstein_1d(x: np.ndarray, y: np.ndarray) -> float:
 def sliced_wasserstein_2d(x: np.ndarray, y: np.ndarray, K: int = 64, seed: int = 0) -> float:
     """Average of 1-d W1 distances of the projections onto K random directions.
 
-    A cheap lower-bound-flavored proxy for the planar Wasserstein distance;
-    deterministic given the seed.
+    A cheap lower bound on the planar W1 of equal-size batches, since each
+    projection is 1-Lipschitz; deterministic given the seed.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -251,22 +250,6 @@ def sliced_wasserstein_2d(x: np.ndarray, y: np.ndarray, K: int = 64, seed: int =
         rot = np.exp(-1j * theta)
         total += wasserstein_1d((x * rot).real, (y * rot).real)
     return total / K
-
-
-def exact_wasserstein_2d(x: np.ndarray, y: np.ndarray, max_n: int = 2000) -> float:
-    """Exact planar W1 between equal-size empirical measures by optimal
-    assignment; quadratic memory, so capped at ``max_n`` points."""
-    from scipy.optimize import linear_sum_assignment
-
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("exact_wasserstein_2d needs two equal-length 1-d batches")
-    if x.size > max_n:
-        raise ValueError(f"exact assignment limited to {max_n} points; use the sliced estimator")
-    cost = np.abs(x[:, None] - y[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
 
 
 def save_batch(batch: SampleBatch, path) -> None:

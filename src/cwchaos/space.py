@@ -92,10 +92,6 @@ class SpaceSpec:
     def orthonormal(cls, n: int) -> "SpaceSpec":
         return cls(n=n, weights=np.ones(n))
 
-    @property
-    def is_orthonormal(self) -> bool:
-        return bool(np.all(self.weights == 1.0))
-
     def same_as(self, other: "SpaceSpec") -> bool:
         if self is other:
             return True

@@ -162,7 +162,23 @@ def cell_integral_gram(params, grid) -> np.ndarray:
             + primitive(left[:, None] - right[None, :])
             - primitive(right[:, None] - right[None, :])
             - primitive(left[:, None] - left[None, :]))
-    return params.alpha_h * gram
+    return H * (2 * H - 1) * gram
+
+
+def exact_wasserstein_2d(x: np.ndarray, y: np.ndarray, max_n: int = 2000) -> float:
+    """Exact planar W1 between equal-size empirical measures by optimal
+    assignment; quadratic memory, so capped at ``max_n`` points."""
+    from scipy.optimize import linear_sum_assignment
+
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("exact_wasserstein_2d needs two equal-length 1-d batches")
+    if x.size > max_n:
+        raise ValueError(f"exact assignment limited to {max_n} points; use the sliced estimator")
+    cost = np.abs(x[:, None] - y[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
 
 
 def generic_whitened_row(params, grid) -> RateRow:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -157,8 +158,8 @@ def test_internal_fault_is_not_bad_input(files, monkeypatch):
 
 
 def test_import_loads_no_scipy():
-    # scipy costs over a second to import; only exact_wasserstein_2d needs it,
-    # and it imports scipy.optimize when called
+    # the runtime needs only numpy; scipy is a test-only dependency, used by the
+    # exact Wasserstein oracle in tests/conftest.py
     code = ("import sys, cwchaos; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(cwchaos.__file__).resolve().parents[1])
@@ -220,6 +221,35 @@ def test_fmt_check_csv(files, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "i,j,norm"
     assert "0,1,1.0" in lines and "1,0,1.0" in lines
+    assert lines[-3:] == ["# c1_sum=2.0", "# gap=2.0", "# c2_sum=6.0"]
+
+
+def test_fmt_check_fails_a_violated_sandwich(monkeypatch, capsys):
+    # k20's sandwich is tight (c1 = c2), so either end moved by ten times the
+    # slack breaks it; an inflated c1 breaks the loose sandwich of k22
+    real = cli.gap_sandwich_constants
+    for scale1, scale2, name in ((1 + 1e-9, 1.0, "k20"), (1.0, 1 - 1e-9, "k20"),
+                                 (100.0, 1.0, "k22")):
+        monkeypatch.setattr(cli, "gap_sandwich_constants",
+                            lambda p, q: (real(p, q)[0] * scale1, real(p, q)[1] * scale2))
+        assert main(["fmt-check", str(INPUTS / f"{name}.json")]) == 3
+        assert "gap sandwich violated" in capsys.readouterr().err
+
+
+def test_fmt_check_constant_kernel_is_bad_input(tmp_path, capsys):
+    # a (0,0) kernel has no fourth-moment gap, as in `moments`
+    path = tmp_path / "k00.json"
+    save_kernel(Kernel.scalar(SpaceSpec.orthonormal(2), 1.0), path)
+    assert main(["fmt-check", str(path)]) == 2
+    assert "p + q >= 1" in capsys.readouterr().err
+
+
+def test_fmt_check_nan_gap_fails(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "fourth_gap", lambda f, route: float("nan"))
+    out = tmp_path / "fmt.json"
+    assert main(["fmt-check", str(INPUTS / "k21.json"), "-o", str(out)]) == 3
+    doc = json.loads(out.read_text(), parse_constant=lambda t: pytest.fail(f"non-JSON token {t}"))
+    assert doc["gap"] is None and doc["c1_sum"] > 0.0
 
 
 def test_clt_check(files, tmp_path):
@@ -300,6 +330,14 @@ def test_ou_verify_assert(tmp_path):
     docs = json.loads(out.read_text())
     assert len(docs) == 2
     assert docs[1]["mean_abs_residual"] < docs[0]["mean_abs_residual"]
+
+
+def test_ou_verify_assert_nan_residual_fails(monkeypatch):
+    # NaN compares False both ways, so a NaN residual must not pass as shrinking
+    real = cli.verify_denominator_identity
+    monkeypatch.setattr(cli, "verify_denominator_identity", lambda *a, **k: dataclasses.replace(
+        real(*a, **k), mean_abs_residual=float("nan")))
+    assert main(["ou-verify", "--T", "4", "--dt", "0.1,0.02", "--paths", "10", "--assert"]) == 3
 
 
 def test_ou_sweeps_need_two_points(monkeypatch, capsys):

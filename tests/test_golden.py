@@ -34,6 +34,8 @@ CASES = (
      for p, q in ORDERS]
     + [(f"bound_{p}{q}.json", 0, ["bound", "--kernel", f"{{in}}/k{p}{q}.json", "-o", "{out}"])
        for p, q in ORDERS]
+    + [(f"fmt_{p}{q}.json", 0, ["fmt-check", f"{{in}}/k{p}{q}.json", "-o", "{out}"])
+       for p, q in ORDERS]
     + [(f"moments_circular_{p}{p}.json", 0,
         ["moments", f"{{in}}/circular_{p}{p}.json", "-o", "{out}"]) for p in (1, 2)]
     + [(f"bound_circular_{p}{p}.json", 0,

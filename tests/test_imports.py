@@ -1,17 +1,24 @@
-"""Unused-import check for the package and its tests (stdlib ``ast``, no linter).
+"""Import checks for the package and its tests (stdlib ``ast``, no linter).
 
 An import binding a name that the module never reads fails the check.  Names
 listed in a module's ``__all__`` count as read, and every import in an
 ``__init__.py`` is a re-export.  ``from __future__`` imports are directives.
+
+The package itself may import only the standard library, numpy and its own
+modules, at any depth (imports inside functions included), so its runtime
+dependencies stay numpy alone.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = sorted((ROOT / "src" / "cwchaos").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "cwchaos").glob("*.py"))
+CHECKED = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+RUNTIME = set(sys.stdlib_module_names) | {"numpy", "cwchaos"}
 
 
 def unused_imports(source: str, is_init: bool = False) -> list[tuple[int, str]]:
@@ -55,4 +62,39 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in CHECKED
              for line, name in unused_imports(path.read_text(), path.name == "__init__.py")]
+    assert found == []
+
+
+def foreign_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of every absolute import, at any depth, whose top-level
+    package is not in ``RUNTIME``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] not in RUNTIME]
+    return found
+
+
+def test_checker_flags_only_foreign_modules():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, scipy\n"
+        "import numpy.linalg\n"
+        "from . import space\n"
+        "from cwchaos.space import Kernel\n"
+        "def f():\n"
+        "    from scipy.optimize import linear_sum_assignment\n"
+        "    import concurrent.futures\n"
+    )
+    assert foreign_imports(source) == [(2, "scipy"), (7, "scipy.optimize")]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    found = [f"{path.relative_to(ROOT)}:{line}: {module}"
+             for path in PACKAGE for line, module in foreign_imports(path.read_text())]
     assert found == []

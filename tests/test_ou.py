@@ -64,7 +64,6 @@ def test_params_validation():
             OUParams(**bad)
     p = OUParams(lam=2.0, omega=0.5, T=3.0, H=0.7)
     assert p.gamma == 2.0 - 0.5j
-    assert p.alpha_h == pytest.approx(0.7 * 0.4)
 
 
 def test_grid_rules():

@@ -15,7 +15,6 @@ from cwchaos.sampling import (
     GaussianTarget,
     _block_rng,
     _complex_normal,
-    exact_wasserstein_2d,
     hermite_hl,
     sample_chaos,
     sample_gaussian,
@@ -24,7 +23,13 @@ from cwchaos.sampling import (
 )
 from cwchaos.space import Kernel, SpaceSpec
 
-from conftest import one_call_complex_normal, profile_sample, random_kernel, random_space
+from conftest import (
+    exact_wasserstein_2d,
+    one_call_complex_normal,
+    profile_sample,
+    random_kernel,
+    random_space,
+)
 
 
 # -- the generating-function oracle -----------------------------------------------
@@ -320,3 +325,13 @@ def test_exact_wasserstein_small():
     assert exact_wasserstein_2d(z, shifted) == pytest.approx(sqrt(2.0), rel=1e-9)
     with pytest.raises(ValueError):
         exact_wasserstein_2d(np.zeros(3000, dtype=complex), np.zeros(3000, dtype=complex))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_sliced_below_exact_wasserstein(seed):
+    # each projection is 1-Lipschitz, so every sliced term is at most the
+    # exact planar W1 of equal-size batches, and so is their mean
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    w = 0.8 * rng.standard_normal(300) + 1j * (1.3 * rng.standard_normal(300) + 0.4)
+    assert sliced_wasserstein_2d(z, w, K=32, seed=seed) <= exact_wasserstein_2d(z, w) * (1 + 1e-12)

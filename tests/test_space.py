@@ -39,7 +39,7 @@ def test_space_validation():
     with pytest.raises(SpaceError):
         SpaceSpec(2, weights=np.array([1.0, 1.0]), grid=np.array([1.0, 0.5]))
     sp = SpaceSpec(2, weights=np.array([1.0, 2.0]), grid=np.array([0.0, 1.0]))
-    assert sp.n == 2 and not sp.is_orthonormal
+    assert sp.n == 2
 
 
 def test_kernel_shape_validation():
