@@ -23,6 +23,7 @@ import numpy as np
 from .chaos import (
     ChaosVariable,
     ChaosVector,
+    _gap_terms,
     _second_moments,
     cov_abs_sq,
     fourth_gap,
@@ -70,21 +71,16 @@ class SingularCovarianceError(ValueError):
 
 
 def fmt_norms(f: Kernel) -> dict[tuple[int, int], float]:
-    """Table (i, j) -> ||f (x)_{i,j} h|| over 0 < i + j <= p + q - 1, with h the
-    reverse complex conjugate of f.
+    """Table (i, j) -> ||f (x)_{i,j} h|| over the direct group of the gap expansion
+    (``chaos._gap_terms``: 0 < i + j < p + q), with h the reverse conjugate of f.
 
     All entries tending to zero along a sequence is the contraction condition
     certifying asymptotic normality; the table is empty for p + q = 1.
     """
     f = symmetrize(f)
     h = reverse_conjugate(f)
-    p, q = f.p, f.q
-    table: dict[tuple[int, int], float] = {}
-    for i in range(p + 1):
-        for j in range(q + 1):
-            if 0 < i + j < p + q:
-                table[(i, j)] = norm(contract(f, h, i, j))
-    return table
+    direct, _ = _gap_terms(f.p, f.q, f.p, f.q)
+    return {(i, j): norm(contract(f, h, i, j)) for (i, j) in direct}
 
 
 def contraction_sum_sq(f: Kernel) -> float:
@@ -187,47 +183,25 @@ def gap_sandwich_constants(p: int, q: int) -> tuple[float, float]:
 
         c1 * sum ||f (x)_{i,j} h||^2  <=  fourth-moment gap  <=  c2 * sum ...
 
-    c1 is the smallest coefficient of the direct contraction group.  c2 follows
-    from bounding the phi_r groups through Cauchy-Schwarz and the norm
-    inequality 2 ||f (x)_{i,j} f||^2 <= ||f (x)_{p-i,q-j} h||^2 + ||f (x)_{p-j,q-i} h||^2,
+    read off the gap expansion ``chaos._gap_terms(p, q, p, q)``.  c1 is the
+    smallest coefficient of its direct group.  c2 follows from bounding the
+    phi_r groups through Cauchy-Schwarz and the norm inequality
+    2 ||f (x)_{i,j} f||^2 <= ||f (x)_{p-i,q-j} h||^2 + ||f (x)_{p-j,q-i} h||^2,
     then taking the largest total coefficient per contraction index.
     """
-    l = p + q
-    pq_fac_sq = (factorial(p) * factorial(q)) ** 2
-    direct = {}
-    for i in range(p + 1):
-        for j in range(q + 1):
-            if 0 < i + j < l:
-                direct[(i, j)] = comb(p, i) ** 2 * comb(q, j) ** 2 * pq_fac_sq
+    direct, groups = _gap_terms(p, q, p, q)
     if not direct:
         return 0.0, 0.0
-    c1 = min(direct.values())
-
     total = dict(direct)
-    m = min(p, q)
-
-    def add(idx, value):
-        total[idx] = total.get(idx, 0.0) + value
-
-    for r in range(1, 2 * m + 1):
-        pairs = [(i, r - i) for i in range(max(0, r - m), min(r, m) + 1)]
-        if r == 2 * m and p == q:
-            continue  # boundary term absent when p = q
-        coefs = {
-            (i, j): comb(p, i) * comb(q, i) * comb(q, j) * comb(p, j)
-            * factorial(i) * factorial(j)
-            for (i, j) in pairs
-        }
-        n_terms = len(pairs)
-        group_fac = factorial(2 * p - r) * factorial(2 * q - r)
+    for group_fac, coefs in groups.values():
+        n_terms = len(coefs)
         for (i, j), c in coefs.items():
             # ||phi_r||^2 <= n_terms * sum c_ij^2 ||f (x)_{i,j} f||^2, then the
             # arithmetic-geometric norm inequality maps each term to h-contractions
             weight = group_fac * n_terms * c ** 2 * 0.5
-            add((p - i, q - j), weight)
-            add((p - j, q - i), weight)
-    c2 = max(total.values())
-    return float(c1), float(c2)
+            for idx in ((p - i, q - j), (p - j, q - i)):
+                total[idx] = total.get(idx, 0.0) + weight
+    return float(min(direct.values())), float(max(total.values()))
 
 
 # -- partial order of block orders -------------------------------------------------

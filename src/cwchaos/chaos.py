@@ -12,16 +12,18 @@ and second moments come from the isometry
 ``E[I_{a,b}(f) conj(I_{c,d}(g))] = 1{a=c} 1{b=d} a! b! <f, g>``.
 
 The fourth-moment gap ``E|F|^4 - 2 (E|F|^2)^2 - |E F^2|^2`` is available through
-three routes (the product-formula moment engine and two closed
-contraction-sum expansions) that must agree to float accuracy; the first
-closed route is the f_1 = f_2 case of the contraction groups of
-:func:`cov_abs_sq`, and the closed routes drive every normal-approximation
-bound in :mod:`cwchaos.bounds`.
+three routes that must agree to float accuracy: the product-formula moment
+engine, coded independently, and the contraction expansion of
+:func:`cov_abs_sq` evaluated at (f, f) and at (f, h), h the reverse conjugate
+of f.  The expansion's coefficients are written once, in :func:`_gap_terms`,
+which also gives :mod:`cwchaos.bounds` its contraction table and sandwich
+constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, factorial, isfinite, isnan, nan
 
 import numpy as np
@@ -248,20 +250,6 @@ def third_moments_closed(f: Kernel) -> tuple[complex, complex]:
     return complex(s3), complex(s21)
 
 
-def _psi_group(f: Kernel, h: Kernel, r: int) -> Kernel | None:
-    """psi_r = sum_{i+j=r} C(p,i)^2 C(q,j)^2 i! j! f (x~)_{i,j} h."""
-    p, q = f.p, f.q
-    out = None
-    for i in range(min(r, p) + 1):
-        j = r - i
-        if j < 0 or j > q:
-            continue
-        coef = comb(p, i) ** 2 * comb(q, j) ** 2 * factorial(i) * factorial(j)
-        kern = sym_contract(f, h, i, j) * coef
-        out = kern if out is None else out + kern
-    return out
-
-
 def fourth_gap(f: Kernel, route: str = "v1") -> float:
     """Fourth-moment gap E|F|^4 - 2 (E|F|^2)^2 - |E F^2|^2 of F = I_{p,q}(f).
 
@@ -271,7 +259,9 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
       product, when n^(2(p+q)) exceeds ``space.ENTRY_CAP``);
     * ``"v1"`` -- contraction sum over f (x)_{i,j} h plus the phi_r groups, the
       f_1 = f_2 case of :func:`cov_abs_sq`'s groups;
-    * ``"v2"`` -- contraction sum over f (x)_{i,j} f plus the psi_r groups.
+    * ``"v2"`` -- the same expansion at f_2 = h, the reverse conjugate of f,
+      which is the gap too since |conj F|^2 = |F|^2: its direct group
+      contracts f with f and its phi_r groups contract f with h.
 
     All routes agree to float accuracy; v1 and v2 are manifestly nonnegative
     term sums for a pure chaos variable of fixed order.
@@ -293,67 +283,58 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
         return e4 - 2.0 * s2 ** 2 - abs(ef2) ** 2
     if route == "v1":
         return _cov_groups(f, f)
-    h = reverse_conjugate(f)
-    m = min(p, q)
     if route == "v2":
-        total = 0.0
-        lp = 2 * m
-        for i in range(m + 1):
-            for j in range(m + 1):
-                if 0 < i + j < lp:
-                    coef = (comb(p, i) * comb(q, i) * comb(q, j) * comb(p, j)
-                            * (factorial(p) * factorial(q)) ** 2)
-                    total += coef * norm_sq(contract(f, f, i, j))
-        for r in range(1, l):
-            psi = _psi_group(f, h, r)
-            total += factorial(l - r) ** 2 * norm_sq(psi)
-        if p != q and m >= 1:
-            coef = comb(p, m) ** 2 * comb(q, m) ** 2 * (factorial(p) * factorial(q)) ** 2
-            total += coef * norm_sq(contract(f, f, m, m))
-        return total
+        return _cov_groups(f, reverse_conjugate(f))
     raise ValueError(f"unknown route {route!r}")
+
+
+def _gap_terms(p1: int, q1: int, p2: int, q2: int):
+    """Coefficient schedule (direct, groups) of the contraction expansion
+
+        Cov(|F_1|^2, |F_2|^2) - |E F_1 conj(F_2)|^2 - |E F_1 F_2|^2
+          = sum_{(k,k')} direct[k, k'] ||f_1 (x)_{k,k'} h_2||^2
+            + sum_r w_r ||sum_{(i,j)} c_ij f_1 (x~)_{i,j} f_2||^2
+
+    for F_k = I_{p_k,q_k}(f_k) and h_2 the reverse conjugate of f_2, with
+    groups[r] = (w_r, {(i, j): c_ij}) the phi_r groups.  Integer coefficients,
+    keyed in summation order; the contraction calculus of Nourdin and Peccati,
+    Normal Approximations with Malliavin Calculus (2012).
+    """
+    fac = factorial(p1) * factorial(q1) * factorial(p2) * factorial(q2)
+    l = min(p1, p2) + min(q1, q2)
+    lp = min(p1, q2) + min(q1, p2)
+    keys = [(k, kp) for k in range(min(p1, p2) + 1) for kp in range(min(q1, q2) + 1)
+            if 0 < k + kp < l]
+    if (p1, q1) != (p2, q2) and l >= 1:
+        keys.append((min(p1, p2), min(q1, q2)))
+    direct = {(k, kp): comb(p1, k) * comb(q1, kp) * comb(q2, kp) * comb(p2, k) * fac
+              for (k, kp) in keys}
+    rs = list(range(1, lp)) + ([lp] if (p1, q1) != (q2, p2) and lp >= 1 else [])
+    groups = {}
+    for r in rs:
+        coefs = {(i, r - i): (comb(p1, i) * comb(q1, r - i) * comb(q2, i) * comb(p2, r - i)
+                              * factorial(i) * factorial(r - i))
+                 for i in range(min(r, p1, q2) + 1) if r - i <= min(q1, p2)}
+        groups[r] = (factorial(p1 + p2 - r) * factorial(q1 + q2 - r), coefs)
+    return direct, groups
 
 
 def _cov_groups(f1: Kernel, f2: Kernel) -> float:
     """Cov(|F_1|^2, |F_2|^2) - |E F_1 conj(F_2)|^2 - |E F_1 F_2|^2 for symmetric
-    kernels on one space: the direct f_1 (x)_{k,k'} h_2 group plus the phi_r groups.
+    kernels on one space: the schedule of :func:`_gap_terms`, evaluated.
 
     At f_1 = f_2 = f this is the fourth-moment gap of I_{p,q}(f), summed term
     by term, so it stays accurate when the gap is small against (E|F|^2)^2.
     """
-    p1, q1, p2, q2 = f1.p, f1.q, f2.p, f2.q
+    direct, groups = _gap_terms(f1.p, f1.q, f2.p, f2.q)
     h2 = reverse_conjugate(f2)
-    fac = factorial(p1) * factorial(q1) * factorial(p2) * factorial(q2)
-    l = min(p1, p2) + min(q1, q2)
-    lp = min(p1, q2) + min(q1, p2)
-
     total = 0.0
-    for k in range(min(p1, p2) + 1):
-        for kp in range(min(q1, q2) + 1):
-            if 0 < k + kp < l:
-                coef = comb(p1, k) * comb(q1, kp) * comb(q2, kp) * comb(p2, k) * fac
-                total += coef * norm_sq(contract(f1, h2, k, kp))
-    if (p1, q1) != (p2, q2) and l >= 1:
-        k, kp = min(p1, p2), min(q1, q2)
-        coef = comb(p1, k) * comb(q1, kp) * comb(q2, kp) * comb(p2, k) * fac
+    for (k, kp), coef in direct.items():
         total += coef * norm_sq(contract(f1, h2, k, kp))
-
-    def phi(r: int) -> Kernel | None:
-        out = None
-        for i in range(min(r, min(p1, q2)) + 1):
-            j = r - i
-            if j < 0 or j > min(q1, p2):
-                continue
-            coef = (comb(p1, i) * comb(q1, j) * comb(q2, i) * comb(p2, j)
-                    * factorial(i) * factorial(j))
-            kern = sym_contract(f1, f2, i, j) * coef
-            out = kern if out is None else out + kern
-        return out
-
-    for r in range(1, lp):
-        total += factorial(p1 + p2 - r) * factorial(q1 + q2 - r) * norm_sq(phi(r))
-    if (p1, q1) != (q2, p2) and lp >= 1:
-        total += factorial(p1 + p2 - lp) * factorial(q1 + q2 - lp) * norm_sq(phi(lp))
+    for w, coefs in groups.values():
+        phi = reduce(Kernel.__add__, (sym_contract(f1, f2, i, j) * c
+                                      for (i, j), c in coefs.items()))
+        total += w * norm_sq(phi)
     return total
 
 

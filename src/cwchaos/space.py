@@ -116,6 +116,9 @@ class Kernel:
     def __init__(self, space: SpaceSpec, p: int, q: int, coeffs, symmetric: bool = False):
         if p < 0 or q < 0:
             raise SpaceError(f"block sizes must be nonnegative, got ({p}, {q})")
+        if p + q > 64:  # checked before any shape is built; p and q may be huge
+            raise SpaceError("kernel degree p + q must be at most 64, "
+                             "numpy's limit on array dimensions")
         arr = np.array(coeffs, dtype=np.complex128)
         expected = (space.n,) * (p + q)
         if arr.shape != expected:

@@ -128,6 +128,32 @@ def test_gap_sandwich_on_random_kernels(rng):
         assert gap <= c2 * csum * (1 + 1e-10)
 
 
+# gap_sandwich_constants for 5 <= p + q <= 8, computed by the constants' own
+# binomial formulas before they were read off chaos._gap_terms; the golden fmt_*
+# files reach only p + q = 4
+PINNED_SANDWICH = {
+    (0, 5): (360000.0, 1440000.0), (1, 4): (576.0, 193536.0), (2, 3): (144.0, 191808.0),
+    (3, 2): (144.0, 191808.0), (4, 1): (576.0, 193536.0), (5, 0): (360000.0, 1440000.0),
+    (0, 6): (18662400.0, 207360000.0), (1, 5): (14400.0, 25560000.0),
+    (2, 4): (2304.0, 17842176.0), (3, 3): (1296.0, 11442384.0), (4, 2): (2304.0, 17842176.0),
+    (5, 1): (14400.0, 25560000.0), (6, 0): (18662400.0, 207360000.0),
+    (0, 7): (1244678400.0, 31116960000.0), (1, 6): (518400.0, 4721587200.0),
+    (2, 5): (57600.0, 2424960000.0), (3, 4): (20736.0, 1077940224.0),
+    (4, 3): (20736.0, 1077940224.0), (5, 2): (57600.0, 2424960000.0),
+    (6, 1): (518400.0, 4721587200.0), (7, 0): (1244678400.0, 31116960000.0),
+    (0, 8): (104044953600.0, 7965941760000.0), (1, 7): (25401600.0, 1151327520000.0),
+    (2, 6): (2073600.0, 451779379200.0), (3, 5): (518400.0, 147083040000.0),
+    (4, 4): (331776.0, 102006521856.0), (5, 3): (518400.0, 147083040000.0),
+    (6, 2): (2073600.0, 451779379200.0), (7, 1): (25401600.0, 1151327520000.0),
+    (8, 0): (104044953600.0, 7965941760000.0),
+}
+
+
+def test_gap_sandwich_constants_pinned():
+    for (p, q), constants in PINNED_SANDWICH.items():
+        assert gap_sandwich_constants(p, q) == constants, (p, q)
+
+
 # -- partial order ---------------------------------------------------------------------
 
 

@@ -213,7 +213,8 @@ def test_fourth_gap_first_chaos_zero(sp4):
 
 
 def test_fourth_gap_route_agreement(rng):
-    orders = [(1, 0), (2, 0), (1, 1), (2, 1), (0, 3), (3, 1)]
+    # (3, 2) and (1, 4): p != q with both the boundary direct term and the last phi group
+    orders = [(1, 0), (2, 0), (1, 1), (2, 1), (0, 3), (3, 1), (3, 2), (1, 4)]
     for (p, q) in orders:
         sp = random_space(rng, 2, weighted=True)
         f = random_kernel(rng, sp, p, q)

@@ -105,6 +105,16 @@ def test_non_integer_sizes_are_bad_input(tmp_path, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
+def test_oversized_degree_is_bad_input(tmp_path, capsys):
+    # n^(p+q) at n = 3, p = 10^6 has too many digits to format; the degree is
+    # refused first
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"n": 3, "p": 10 ** 6, "q": 0, "weights": [1.0] * 3,
+                                "re": [0.0], "im": [0.0]}))
+    assert main(["moments", str(path)]) == 2
+    assert "kernel degree p + q must be at most 64" in capsys.readouterr().err
+
+
 def test_closed_routes_cap_contractions(tmp_path, monkeypatch, capsys):
     # the "v1" gap of a (2,2) kernel at n = 20 contracts to 20^6 = 6.4e7 entries
     path = tmp_path / "k22.json"

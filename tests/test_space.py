@@ -50,6 +50,17 @@ def test_kernel_shape_validation():
         Kernel(sp, -1, 1, np.zeros(2))
 
 
+def test_kernel_degree_checked_before_shapes():
+    # n^(p+q) at p = 10^6 has too many digits to format; a larger p would
+    # first build a tuple of p entries
+    doc = {"n": 3, "p": 10 ** 6, "q": 0, "weights": [1.0] * 3, "re": [0.0], "im": [0.0]}
+    with pytest.raises(SpaceError, match="at most 64"):
+        kernel_from_json(doc)
+    with pytest.raises(SpaceError, match="at most 64"):
+        Kernel(SpaceSpec.orthonormal(1), 40, 25, np.zeros(1))
+    assert Kernel(SpaceSpec.orthonormal(1), 40, 24, np.zeros(1)).coeffs.ndim == 64
+
+
 def test_kernel_reshapes_only_flat_arrays():
     sp = SpaceSpec.orthonormal(4)
     flat = np.arange(16.0)
