@@ -1,11 +1,13 @@
 """Normal-approximation diagnostics for complex chaos variables and vectors.
 
 Contains the contraction-norm tables whose decay certifies a central limit
-theorem, the univariate fourth-moment Berry-Esseen bound (general bivariate
-covariance and the circularly-symmetric special case), the lower-bound
-candidate quantities, the block-order partial order driving the multivariate
-bound, and the multivariate bound itself with its indicator-structured
-cross-term table.
+theorem, the univariate fourth-moment Berry-Esseen bound (``BoundInputs.upper``;
+the circular case is its value at equal covariance eigenvalues), the
+lower-bound candidate quantities, the block-order partial order driving the
+multivariate bound, and the multivariate bound itself with its
+indicator-structured cross-term table.  Each hypothesis, circularity and a
+nonsingular covariance, has one gate, relative to the variance scale and
+failing on NaN.
 
 Wasserstein distance is understood on R^2 with Euclidean cost, applied to the
 real/imaginary pair of a complex variable.  Unspecified absolute constants in
@@ -53,9 +55,9 @@ __all__ = [
     "clt_conditions",
 ]
 
-#: Default circularity tolerance, as a fraction of the variance scale.  Exact
-#: kernels give pseudo-moments that vanish to roundoff; quadrature kernels may
-#: need a looser value.
+#: Default circularity tolerance: the largest |E F^j F^r| may be at most this
+#: fraction of the largest component variance E|F^j|^2.  Exact kernels give
+#: pseudo-moments that vanish to roundoff; quadrature kernels may need more.
 CIRCULAR_TOL = 1e-8
 
 
@@ -65,6 +67,17 @@ class NonCircularError(ValueError):
 
 class SingularCovarianceError(ValueError):
     """Raised when a bound needs an invertible covariance and does not get one."""
+
+
+def _is_circular(pseudo_max: float, var_max: float, tol: float) -> bool:
+    """The circularity gate: largest |pseudo-moment| <= tol x largest variance."""
+    return pseudo_max <= tol * var_max  # NaN fails
+
+
+def _check_nonsingular(lambda_min: float, lambda_max: float) -> None:
+    """The nonsingular gate: smallest covariance eigenvalue > 1e-12 x largest."""
+    if not lambda_min > 1e-12 * lambda_max:  # NaN fails
+        raise SingularCovarianceError(f"singular covariance: {lambda_min=:.3e}, {lambda_max=:.3e}")
 
 
 # -- contraction tables ---------------------------------------------------------
@@ -96,7 +109,7 @@ class BoundInputs:
     """Second-moment inputs of the univariate bound.
 
     ``lambda1 >= lambda2`` are the eigenvalues (sigma_sq +- sqrt(a^2+b^2)) / 2 of
-    the 2x2 real covariance of (Re F, Im F); the upper bound needs lambda2 > 0.
+    the 2x2 real covariance of (Re F, Im F), of a chaos variable F of order l.
     """
 
     sigma_sq: float
@@ -119,54 +132,41 @@ class BoundInputs:
         sigma_sq, pseudo = _second_moments(f)
         return cls.from_moments(sigma_sq, pseudo, f.degree)
 
+    def upper(self, gap: float) -> float:
+        """Fourth-moment Berry-Esseen upper bound on d_W(F, N), N the normal with
+        F's covariance, given F's fourth-moment gap (needs lambda2 > 1e-12 lambda1):
+
+            4 sqrt(2) sqrt(sum_{r<l} C(2r,r)) (sqrt(lambda1) / lambda2) sqrt(gap).
+        """
+        _check_nonsingular(self.lambda2, self.lambda1)
+        return (4.0 * sqrt(2.0) * sqrt(binomial_sum(self.l))
+                * sqrt(self.lambda1) / self.lambda2 * sqrt(max(gap, 0.0)))
+
 
 def binomial_sum(l: int) -> int:
     """sum_{r=1}^{l-1} C(2r, r), computed in integer arithmetic."""
     return sum(comb(2 * r, r) for r in range(1, l))
 
 
-def be_upper(f: Kernel, inputs: BoundInputs | None = None, gap: float | None = None) -> float:
-    """Fourth-moment Berry-Esseen upper bound on d_W(F, N) for F = I_{p,q}(f) and
-    N the bivariate normal with matching covariance:
-
-        4 sqrt(2) sqrt(sum_{r<l} C(2r,r)) (sqrt(lambda1) / lambda2) sqrt(gap).
-    """
+def be_upper(f: Kernel) -> float:
+    """``BoundInputs.upper`` for F = I_{p,q}(f), with the gap of route "v1"."""
     f = symmetrize(f)
-    if inputs is None:
-        inputs = BoundInputs.from_kernel(f)
-    if inputs.lambda2 <= 0.0:
-        raise SingularCovarianceError(
-            f"covariance is singular (lambda2 = {inputs.lambda2:.3e}); upper bound undefined"
-        )
-    if gap is None:
-        gap = fourth_gap(f, "v1")
-    return (4.0 * sqrt(2.0) * sqrt(binomial_sum(inputs.l))
-            * sqrt(inputs.lambda1) / inputs.lambda2 * sqrt(max(gap, 0.0)))
+    return BoundInputs.from_kernel(f).upper(fourth_gap(f, "v1"))
 
 
 def be_upper_circular(f: Kernel, circular_tol: float = CIRCULAR_TOL) -> float:
-    """Circular-case simplification of the upper bound:
-
-        (8 / sigma) sqrt(sum_{r<l} C(2r,r)) sqrt(E|F|^4 - 2 (E|F|^2)^2).
-
-    Requires |E F^2| below ``circular_tol`` times the variance.
-    """
+    """The upper bound at lambda1 = lambda2 = sigma^2 / 2, where it reads
+    (8 / sigma) sqrt(sum_{r<l} C(2r,r)) sqrt(E|F|^4 - 2 (E|F|^2)^2).
+    Requires |E F^2| at most ``circular_tol`` times sigma^2."""
     f = symmetrize(f)
     inputs = BoundInputs.from_kernel(f)
     pseudo_mag = sqrt(inputs.a ** 2 + inputs.b ** 2)
-    if not pseudo_mag <= circular_tol * inputs.sigma_sq:  # NaN fails
-        raise NonCircularError(
-            f"|E F^2| = {pseudo_mag:.3e} exceeds tolerance "
-            f"{circular_tol:.1e} * sigma^2 = {circular_tol * inputs.sigma_sq:.3e}"
-        )
-    quantity = fourth_gap(f, "v1") + pseudo_mag ** 2
-    return _circular_bound(inputs.sigma_sq, quantity, inputs.l)
-
-
-def _circular_bound(sigma_sq: float, quantity: float, l: int) -> float:
-    """(8 / sigma) sqrt(sum_{r<l} C(2r,r)) sqrt(quantity), with ``quantity`` the
-    gap plus |E F^2|^2 of a chaos variable of order l and variance sigma_sq."""
-    return 8.0 / sqrt(sigma_sq) * sqrt(binomial_sum(l)) * sqrt(max(quantity, 0.0))
+    if not _is_circular(pseudo_mag, inputs.sigma_sq, circular_tol):
+        raise NonCircularError(f"|E F^2| = {pseudo_mag:.3e} exceeds tolerance {circular_tol:.1e}"
+                               f" * sigma^2 = {circular_tol * inputs.sigma_sq:.3e}")
+    # E|F|^4 - 2 (E|F|^2)^2 is the gap plus |E F^2|^2
+    return (BoundInputs.from_moments(inputs.sigma_sq, 0j, inputs.l)
+            .upper(fourth_gap(f, "v1") + pseudo_mag ** 2))
 
 
 def be_lower_terms(f: Kernel) -> tuple[float, float, float]:
@@ -290,12 +290,10 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
 
     pseudo_max = float(np.max(np.abs(pseudo)))
     scale = float(np.max(np.abs(np.diagonal(sigma))))
-    if not pseudo_max <= circular_tol * scale:  # NaN fails
-        raise NonCircularError(
-            f"max |E F^j F^r| = {pseudo_max:.3e} exceeds {circular_tol:.1e} * {scale:.3e}"
-        )
-    if lambda_min <= 1e-12 * max(lambda_max, 1.0):
-        raise SingularCovarianceError(f"Sigma is singular (lambda_min = {lambda_min:.3e})")
+    if not _is_circular(pseudo_max, scale, circular_tol):
+        raise NonCircularError(f"max |E F^j F^r| = {pseudo_max:.3e} exceeds"
+                               f" {circular_tol:.1e} * {scale:.3e}")
+    _check_nonsingular(lambda_min, lambda_max)
 
     quartic = 0.0
     for j in range(d):
@@ -365,9 +363,13 @@ class CircularityReport:
 
 
 def circularity_check(F: ChaosVector, tol: float = CIRCULAR_TOL) -> CircularityReport:
+    """Pseudo-covariance table, passed when its largest entry is at most ``tol``
+    times the largest component variance."""
     pseudo = _pair_matrix(F, product_expectation)
     max_abs = float(np.max(np.abs(pseudo)))
-    return CircularityReport(pseudo=pseudo, max_abs=max_abs, tol=tol, passed=max_abs <= tol)
+    scale = max(pairing_expectation(c, c).real for c in F.components)
+    return CircularityReport(pseudo=pseudo, max_abs=max_abs, tol=tol,
+                             passed=_is_circular(max_abs, scale, tol))
 
 
 # -- chaotic CLT condition tables ----------------------------------------------------

@@ -113,7 +113,7 @@ def cmd_bound(args) -> int:
         "lambda1": inputs.lambda1,
         "lambda2": inputs.lambda2,
         "l": inputs.l,
-        "be_upper": be_upper(kern, inputs),
+        "be_upper": be_upper(kern),
         "lower_terms": dict(zip(
             ("abs_third", "abs_third_mixed", "contraction_sum_sq"), be_lower_terms(kern))),
         "lower_terms_note": "lower-bound candidates up to an unspecified constant",

@@ -28,7 +28,7 @@ from math import exp, factorial, isfinite, sqrt
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bounds import _circular_bound
+from .bounds import BoundInputs
 from .sampling import GENERATOR_VERSION, SampleBatch, _block_rng, _complex_normal
 from .space import ENTRY_CAP, Kernel, SpaceError, SpaceSpec
 
@@ -296,7 +296,7 @@ class RateRow:
     e3: float
     fmt_10_sq: float
     fmt_01_sq: float
-    be_upper_circular: float
+    be_upper: float
 
 
 @dataclass(frozen=True)
@@ -327,8 +327,10 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
 
     H = 1/2 reproduces decay exponents -1 (gap) and -1/2 (mixed third moment);
     the fractional branch reports the gap of the variance-normalized statistic,
-    whose upper-bound exponent is 2(4H - 3) for H in (5/8, 3/4).  A fractional
-    grid with m^2 above ``space.ENTRY_CAP`` raises SpaceError before any row.
+    whose upper-bound exponent is 2(4H - 3) for H in (5/8, 3/4).  Column
+    ``be_upper`` is ``BoundInputs.upper`` of the row's statistic (pseudo-moment
+    0 at H = 1/2).  A fractional grid with m^2 above ``space.ENTRY_CAP`` raises
+    SpaceError before any row.
     """
     T_list = list(T_list)
     if len(T_list) < 2:
@@ -346,13 +348,11 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
         params = replace(base, T=T)
         if base.H == 0.5:
             tq = triangular_quantities(params, grid.m)
-            # the strictly lower triangular kernel makes the pseudo-moment E F_T^2
-            # and E F_T^3 exactly 0, so the circular bound's quantity is the gap
-            be_circ = _circular_bound(tq.var, tq.gap_v1, 2)  # F_T = I_{1,1}: order 2
+            # the strictly lower triangular kernel makes E F_T^2 and E F_T^3 exactly 0
             rows.append(RateRow(T=T, m=grid.m, var=tq.var, gap=tq.gap_v1,
                                 e3_mixed=tq.e3_mixed_abs, e3=0.0,
                                 fmt_10_sq=tq.fmt_10_sq, fmt_01_sq=tq.fmt_01_sq,
-                                be_upper_circular=be_circ))
+                                be_upper=BoundInputs.from_moments(tq.var, 0j, 2).upper(tq.gap_v1)))
         else:
             rows.append(_whitened_row(params, grid))
     slope_gap = _loglog_slope([r.T for r in rows], [r.gap for r in rows])
@@ -443,11 +443,10 @@ def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:
     fmt_sq = float(np.vdot(Q, Q).real) / var**2
     # normalize to unit variance: the gap is quartic, third moments cubic
     gap = 2.0 * fmt_sq + 4.0 * float(np.vdot(P, P).real) / var**2
-    quantity = gap + (abs(pseudo) / var) ** 2
     return RateRow(T=params.T, m=grid.m, var=var, gap=gap,
                    e3_mixed=abs(third_mixed) / var**1.5, e3=abs(third) / var**1.5,
                    fmt_10_sq=fmt_sq, fmt_01_sq=fmt_sq,
-                   be_upper_circular=_circular_bound(1.0, quantity, 2))  # unit variance, order 2
+                   be_upper=BoundInputs.from_moments(1.0, pseudo / var, 2).upper(gap))
 
 
 # -- exact-in-law sampling of the numerator statistic -----------------------------------

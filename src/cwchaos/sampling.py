@@ -72,16 +72,12 @@ class GaussianTarget:
         if not all(isfinite(v) for v in (self.sigma_sq, self.a, self.b)):
             raise ValueError("sigma_sq, a and b must be finite")
         eigs = np.linalg.eigvalsh(self.covariance())
-        if eigs[0] < -1e-12 * max(abs(eigs[-1]), 1.0):
+        if eigs[0] < -1e-12 * eigs[-1]:  # relative to the largest eigenvalue
             raise ValueError("covariance is not positive semidefinite")
 
     @classmethod
     def circular(cls, sigma_sq: float) -> "GaussianTarget":
         return cls(sigma_sq=sigma_sq)
-
-    @classmethod
-    def bivariate(cls, a: float, b: float, sigma_sq: float) -> "GaussianTarget":
-        return cls(sigma_sq=sigma_sq, a=a, b=b)
 
     def covariance(self) -> np.ndarray:
         s, a, b = self.sigma_sq, self.a, self.b

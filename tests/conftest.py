@@ -9,7 +9,7 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
-from cwchaos.bounds import _circular_bound, fmt_norms
+from cwchaos.bounds import be_upper, fmt_norms
 from cwchaos.chaos import _second_moments, fourth_gap, third_moments_closed
 from cwchaos.ou import RateRow, _whitened_kernel
 from cwchaos.sampling import hermite_hl
@@ -185,13 +185,12 @@ def generic_whitened_row(params, grid) -> RateRow:
     """Fractional sweep row from the library's generic moment, gap and
     contraction routes on the whitened kernel; the oracle for ``ou._whitened_row``."""
     f = _whitened_kernel(params, grid)
-    var, pseudo = _second_moments(f)
+    var, _ = _second_moments(f)
     third, third_mixed = third_moments_closed(f)
     norms = fmt_norms(f)
     # normalize to unit variance: the gap is quartic, third moments cubic
     gap = fourth_gap(f, "v1") / var**2
-    quantity = gap + (abs(pseudo) / var) ** 2
     return RateRow(T=params.T, m=grid.m, var=var, gap=gap,
                    e3_mixed=abs(third_mixed) / var**1.5, e3=abs(third) / var**1.5,
                    fmt_10_sq=norms[1, 0] ** 2 / var**2, fmt_01_sq=norms[0, 1] ** 2 / var**2,
-                   be_upper_circular=_circular_bound(1.0, quantity, 2))  # unit variance, order 2
+                   be_upper=be_upper(f * var**-0.5))  # the kernel route, at unit variance

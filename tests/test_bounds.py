@@ -85,15 +85,14 @@ def test_be_upper_worked(sp4):
     f12 = Kernel.basis(sp4, (0,), (1,))
     # l = 2 prefactor is 8 sqrt(lambda1) / lambda2; gap = 2
     assert be_upper(f12) == pytest.approx(16.0)
-    assert be_upper(f12, gap=0.0) == 0.0
+    assert BoundInputs.from_kernel(f12).upper(0.0) == 0.0
 
 
-def test_be_upper_monotone_in_lambda2(sp4):
-    f12 = Kernel.basis(sp4, (0,), (1,))
+def test_be_upper_monotone_in_lambda2():
     vals = []
     for lam2 in (0.1, 0.2, 0.4, 0.5):
         inputs = BoundInputs(sigma_sq=1.0, a=0.0, b=0.0, l=2, lambda1=0.5, lambda2=lam2)
-        vals.append(be_upper(f12, inputs=inputs, gap=2.0))
+        vals.append(inputs.upper(2.0))
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -101,6 +100,12 @@ def test_be_upper_singular_covariance(sp4):
     f11 = Kernel.basis(sp4, (0,), (0,))  # real variable: lambda2 = 0
     with pytest.raises(SingularCovarianceError):
         be_upper(f11)
+    # lambda2 = 1e-13 lambda1 is singular at any scale, and a NaN lambda2 fails
+    near = [BoundInputs.from_moments(s, complex(s * (1 - 2e-13)), 2) for s in (1e-6, 1.0, 1e6)]
+    nan = BoundInputs(sigma_sq=1.0, a=0.0, b=0.0, l=2, lambda1=0.5, lambda2=float("nan"))
+    for inputs in near + [nan]:
+        with pytest.raises(SingularCovarianceError):
+            inputs.upper(1.0)
 
 
 def test_be_upper_circular_worked(sp4):
@@ -289,6 +294,49 @@ def test_circularity_zero_vector(sp4):
     zero = ChaosVariable.from_kernel(Kernel.zeros(sp4, 1, 1))
     rep = circularity_check(ChaosVector([zero]))
     assert rep.passed
+
+
+# -- scale invariance of the hypothesis gates ------------------------------------------------
+
+SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+
+def _orthogonal_outer(space: SpaceSpec) -> Kernel:
+    """(1,1) kernel u v^T with u^T v = 0: circular, its pseudo-moment is roundoff."""
+    u = np.array([1.0 + 2.0j, -0.5 + 0.3j, 0.7 - 1.1j, 0.2 + 0.9j])
+    v = np.array([0.3 - 0.8j, 1.4 + 0.1j, -0.6 + 0.5j, 0.9 - 0.2j])
+    v = v - (u @ v) / (u @ u) * u
+    return Kernel(space, 1, 1, np.outer(u, v))
+
+
+def _two_order_vector(rng, s: float) -> ChaosVector:
+    sp = SpaceSpec.orthonormal(3)
+    kernels = [random_kernel(rng, sp, 1, 0), random_kernel(rng, sp, 2, 1)]
+    return ChaosVector([ChaosVariable.from_kernel(s * k) for k in kernels])
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_univariate_bounds_scale_linearly(sp4, s):
+    f = _orthogonal_outer(sp4)
+    assert be_upper(s * f) == pytest.approx(s * be_upper(f), rel=1e-12)
+    assert be_upper_circular(s * f) == pytest.approx(s * be_upper_circular(f), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_multivariate_bound_scales_linearly(s):
+    # same kernels at every scale; the covariance's condition number is 62
+    one = be_upper_multivariate(_two_order_vector(np.random.default_rng(0), 1.0))
+    rep = be_upper_multivariate(_two_order_vector(np.random.default_rng(0), s))
+    assert rep.bound == pytest.approx(s * one.bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_circularity_check_is_scale_free(sp4, s):
+    real = Kernel.basis(sp4, (0,), (0,))  # E F^2 = E|F|^2
+    outer = ChaosVariable.from_kernel(s * _orthogonal_outer(sp4))
+    assert circularity_check(ChaosVector([outer])).passed
+    assert circularity_check(_two_order_vector(np.random.default_rng(0), s)).passed
+    assert not circularity_check(ChaosVector([ChaosVariable.from_kernel(s * real)])).passed
 
 
 # -- chaotic CLT tables -----------------------------------------------------------------------

@@ -321,7 +321,7 @@ def test_ou_rate_assert_pass_and_fail(tmp_path):
     args = ["ou-rate", "--T", "25,50,100", "--dt", "0.1", "-o", str(out), "--assert"]
     assert main(args) == 0
     body = out.read_text()
-    assert body.startswith("T,m,var,gap,e3_mixed,e3,fmt_10_sq,fmt_01_sq,be_upper_circular")
+    assert body.startswith("T,m,var,gap,e3_mixed,e3,fmt_10_sq,fmt_01_sq,be_upper")
     assert "# slope_gap=" in body
     assert main(args + ["--gap-slope", "-2.0"]) == 3
 

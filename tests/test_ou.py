@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cwchaos import ou
-from cwchaos.bounds import fmt_norms
+from cwchaos.bounds import be_upper_circular, fmt_norms
 from cwchaos.chaos import fourth_gap, moment_report, third_moments_closed
 from cwchaos.ou import (
     GridSpec,
@@ -222,6 +222,10 @@ def test_structured_matches_dense(lam, omega, T, m):
     e3, e21 = third_moments_closed(Kn)
     assert tq.e3_mixed_abs == pytest.approx(abs(e21), rel=1e-11)
     assert abs(e3) == 0.0
+    # the sweep's bound column against the circular evaluator on the dense kernel
+    row = rate_sweep(p, [T / 2, T], dt=T / m).rows[-1]
+    assert row.m == m
+    assert row.be_upper == pytest.approx(be_upper_circular(Kn), rel=1e-10)
 
 
 def test_structured_rejects_fractional():
@@ -243,7 +247,7 @@ def test_rate_sweep_slopes_quick():
     slope = np.polyfit(np.log(ts), np.log(fmt_sums), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.1)
     csv = table.to_csv()
-    assert csv.splitlines()[0] == "T,m,var,gap,e3_mixed,e3,fmt_10_sq,fmt_01_sq,be_upper_circular"
+    assert csv.splitlines()[0] == "T,m,var,gap,e3_mixed,e3,fmt_10_sq,fmt_01_sq,be_upper"
     assert "# slope_gap=" in csv
 
 

@@ -234,12 +234,12 @@ def test_gaussian_circular_moments():
 
 
 def test_gaussian_degenerate_bivariate_is_real():
-    b = sample_gaussian(GaussianTarget.bivariate(1.0, 0.0, 1.0), 1000, seed=2)
+    b = sample_gaussian(GaussianTarget(1.0, 1.0, 0.0), 1000, seed=2)
     assert np.max(np.abs(b.values.imag)) == 0.0
 
 
 def test_gaussian_bivariate_zero_equals_circular_in_law():
-    b1 = sample_gaussian(GaussianTarget.bivariate(0.0, 0.0, 1.5), 200_000, seed=8)
+    b1 = sample_gaussian(GaussianTarget(1.5, 0.0, 0.0), 200_000, seed=8)
     b2 = sample_gaussian(GaussianTarget.circular(1.5), 200_000, seed=9)
     assert np.mean(np.abs(b1.values) ** 2) == pytest.approx(
         np.mean(np.abs(b2.values) ** 2), abs=0.05)
@@ -248,15 +248,24 @@ def test_gaussian_bivariate_zero_equals_circular_in_law():
 
 def test_gaussian_rejects_non_psd():
     with pytest.raises(ValueError):
-        GaussianTarget.bivariate(2.0, 0.0, 1.0)  # |a| > sigma^2
+        GaussianTarget(1.0, 2.0, 0.0)  # |a| > sigma^2
+
+
+def test_gaussian_target_psd_check_is_relative():
+    # |a| = 1.5 sigma^2 is not a covariance at any scale; an absolute floor
+    # accepted it at 1e-13, and the sampler then clipped it to a degenerate law
+    for sigma_sq in (1.0, 1e-6, 1e-13):
+        with pytest.raises(ValueError, match="semidefinite"):
+            GaussianTarget(sigma_sq, a=1.5 * sigma_sq)
+    assert GaussianTarget(1e-13, a=1e-13).sigma_sq == 1e-13  # rank one is allowed
 
 
 def test_gaussian_target_rejects_non_finite():
     # a NaN covariance passed the eigenvalue test and sampled NaN values
     nan, inf = float("nan"), float("inf")
     for make in (lambda: GaussianTarget.circular(nan), lambda: GaussianTarget.circular(inf),
-                 lambda: GaussianTarget.bivariate(nan, 0.0, 1.0),
-                 lambda: GaussianTarget.bivariate(0.0, -inf, 1.0),
+                 lambda: GaussianTarget(1.0, nan, 0.0),
+                 lambda: GaussianTarget(1.0, 0.0, -inf),
                  lambda: GaussianTarget(sigma_sq=1.0, b=nan)):
         with pytest.raises(ValueError, match="finite"):
             make()
@@ -264,7 +273,7 @@ def test_gaussian_target_rejects_non_finite():
 
 def test_gaussian_target_fields_and_meta():
     assert GaussianTarget.circular(1.5) == GaussianTarget(sigma_sq=1.5, a=0.0, b=0.0)
-    t = GaussianTarget.bivariate(0.25, -0.5, 1.5)
+    t = GaussianTarget(1.5, 0.25, -0.5)
     assert (t.sigma_sq, t.a, t.b) == (1.5, 0.25, -0.5)
     assert np.array_equal(t.covariance(), 0.5 * np.array([[1.75, -0.5], [-0.5, 1.25]]))
     meta = sample_gaussian(t, 10, seed=3).meta
