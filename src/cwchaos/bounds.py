@@ -284,15 +284,13 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
     kernels = _single_order_kernels(F)
     d = F.d
     sigma = _pair_matrix(F, pairing_expectation)   # E[F conj(F)']
-    pseudo = _pair_matrix(F, product_expectation)  # E[F F']
     eig = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
     lambda_max, lambda_min = float(eig[-1]), float(eig[0])
 
-    pseudo_max = float(np.max(np.abs(pseudo)))
-    scale = float(np.max(np.abs(np.diagonal(sigma))))
-    if not _is_circular(pseudo_max, scale, circular_tol):
-        raise NonCircularError(f"max |E F^j F^r| = {pseudo_max:.3e} exceeds"
-                               f" {circular_tol:.1e} * {scale:.3e}")
+    circ = circularity_check(F, circular_tol)
+    if not circ.passed:
+        raise NonCircularError(f"max |E F^j F^r| = {circ.max_abs:.3e} exceeds"
+                               f" {circular_tol:.1e} x the largest component variance")
     _check_nonsingular(lambda_min, lambda_max)
 
     quartic = 0.0
@@ -333,7 +331,7 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
         quartic_sum=quartic,
         lambda_max=lambda_max,
         lambda_min=lambda_min,
-        pseudo_max=pseudo_max,
+        pseudo_max=circ.max_abs,
         own_contraction_sums=own,
         cross_terms=cross,
     )

@@ -39,9 +39,8 @@ __all__ = [
     "occupation_kernel",
     "abs_sq_mean_closed",
     "normalization_factor",
-    "TriangularQuantities",
-    "triangular_quantities",
     "RateRow",
+    "triangular_quantities",
     "RateTable",
     "rate_sweep",
     "fbm_gram",
@@ -196,39 +195,49 @@ def normalization_factor(params: OUParams) -> float:
     return factor ** -0.5
 
 
-# -- O(m) structured quantities on the midpoint grid --------------------------------
+# -- rate sweep ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TriangularQuantities:
-    """Moment and contraction quantities of the normalized numerator kernel.
+class RateRow:
+    """One horizon of ``rate_sweep``: horizon ``T``, grid size ``m``, variance
+    ``var``, fourth-moment gap ``gap``, ``e3_mixed`` = |E F^2 conj(F)|, ``e3`` =
+    |E F^3|, the squared contraction norms ``fmt_10_sq`` and ``fmt_01_sq`` (the
+    (1,0) and (0,1) entries of ``bounds.fmt_norms``) and ``be_upper``, the
+    statistic's ``BoundInputs.upper``.
 
-    ``fmt_10_sq``/``fmt_01_sq`` are the squared contraction norms whose sum is
-    the fourth-moment gap's leading group; ``gap_v1``/``gap_v2`` are the two
-    closed expansions of the gap and agree to roundoff.
+    At H = 1/2 (``triangular_quantities``) every field belongs to nu F_T, nu =
+    ``normalization_factor``, so ``var`` is about 1/(2 lam).  At H > 1/2
+    (``_whitened_row``) ``var`` is the raw Gram variance and the other fields
+    belong to F_T / sqrt(var).  fmt_10_sq = fmt_01_sq on both branches, since
+    ||K^H K|| = ||K K^H|| by trace cyclicity.
     """
 
+    T: float
+    m: int
     var: float
-    gap_v1: float
-    gap_v2: float
-    e3_mixed_abs: float
+    gap: float
+    e3_mixed: float
+    e3: float
     fmt_10_sq: float
     fmt_01_sq: float
+    be_upper: float
 
 
-def triangular_quantities(params: OUParams, m: int) -> TriangularQuantities:
-    """Prefix-sum evaluation of the sweep quantities on the m-point midpoint grid.
+def triangular_quantities(params: OUParams, m: int) -> RateRow:
+    """Sweep row of nu F_T on the m-point midpoint grid (H = 1/2), by prefix sums.
 
     Up to a unimodular diagonal similarity, which leaves every quantity here
     unchanged, the kernel is c z^(i-j) a(i-j) below the diagonal, with
     z = exp(-lam dt), a(1) = beta (the subdiagonal band of ``numerator_kernel``)
     and a(D) = 1 for D >= 2.  Every contraction factorizes through one-sided
     geometric sums, and each band factor pins one index offset to 1, so no
-    m x m array is ever formed.
+    m x m array is ever formed.  The strictly lower triangular kernel makes
+    E F_T^2 and E F_T^3 exactly 0.
     """
     if params.H != 0.5:
         raise ValueError("structured quantities are for the H = 1/2 branch")
-    GridSpec(m)  # an integer m >= 2, or ValueError
+    m = int(GridSpec(m).m)  # an integer m >= 2, or ValueError
     lam, T = params.lam, params.T
     dt = T / m
     c = 1.0 / sqrt(T)
@@ -253,50 +262,21 @@ def triangular_quantities(params: OUParams, m: int) -> TriangularQuantities:
     ratio = x / (1.0 - x)
     L = ratio * (1.0 - x**idx)                # sum_{u < w} x^(w-u)
     R = ratio * (1.0 - x ** (m - 1 - idx))    # sum_{u > v} x^(u-v)
-    P = ratio * (L - idx * x**idx)            # sum_{s < t} x^(t-s) L[s]
-    # K^H K and K K^H are z^|t-s| Rb[max(t,s)] and z^|t-s| Lb[min(t,s)] off the
-    # diagonal, where the band adds delta x wherever a neighbour exists, and
-    # their diagonals carry beta delta x more
-    has_left = idx >= 1
+    # K^H K is z^|t-s| Rb[max(t,s)] off the diagonal, where the band adds
+    # delta x wherever a right neighbour exists, and its diagonal carries
+    # beta delta x more; ||K K^H|| = ||K^H K||, so it gives both contraction norms
     has_right = idx <= m - 2
-    Lb = L + delta * x * has_left
     Rb = R + delta * x * has_right
-    Pb = P + delta * x * np.concatenate(([0.0], L[:-1]))   # sum_{s < t} x^(t-s) Lb[s]
-    Ld = Lb + beta * delta * x * has_left
     Rd = Rb + beta * delta * x * has_right
-
-    m1_sq = c**4 * dt**4 * float(np.sum(Rd**2 + 2.0 * L * Rb**2))
-    m2_sq = c**4 * dt**4 * float(np.sum(Ld**2 + 2.0 * R * Lb**2))
-    m1m2 = c**4 * dt**4 * float(np.sum(Rd * Ld + 2.0 * Rb * Pb))
-
-    gap_v1 = m1_sq + m2_sq + 4.0 * kwk_sq
-    gap_v2 = m1_sq + m2_sq + 2.0 * m1m2 + 2.0 * kwk_sq
+    fmt_sq = c**4 * dt**4 * float(np.sum(Rd**2 + 2.0 * L * Rb**2))
 
     nu = normalization_factor(params)
-    return TriangularQuantities(
-        var=nu**2 * var,
-        gap_v1=nu**4 * gap_v1,
-        gap_v2=nu**4 * gap_v2,
-        e3_mixed_abs=nu**3 * abs(e21),
-        fmt_10_sq=nu**4 * m1_sq,
-        fmt_01_sq=nu**4 * m2_sq,
-    )
-
-
-# -- rate sweep ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RateRow:
-    T: float
-    m: int
-    var: float
-    gap: float
-    e3_mixed: float
-    e3: float
-    fmt_10_sq: float
-    fmt_01_sq: float
-    be_upper: float
+    var, fmt_sq = nu**2 * var, nu**4 * fmt_sq
+    # the gap is 2 ||K^H K||^2 + 4 ||K K||^2, as in ``_whitened_row``
+    gap = 2.0 * fmt_sq + 4.0 * nu**4 * kwk_sq
+    return RateRow(T=params.T, m=m, var=var, gap=gap, e3_mixed=nu**3 * abs(e21), e3=0.0,
+                   fmt_10_sq=fmt_sq, fmt_01_sq=fmt_sq,
+                   be_upper=BoundInputs.from_moments(var, 0j, 2).upper(gap))
 
 
 @dataclass(frozen=True)
@@ -347,12 +327,7 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
     for T, grid in zip(T_list, grids):
         params = replace(base, T=T)
         if base.H == 0.5:
-            tq = triangular_quantities(params, grid.m)
-            # the strictly lower triangular kernel makes E F_T^2 and E F_T^3 exactly 0
-            rows.append(RateRow(T=T, m=grid.m, var=tq.var, gap=tq.gap_v1,
-                                e3_mixed=tq.e3_mixed_abs, e3=0.0,
-                                fmt_10_sq=tq.fmt_10_sq, fmt_01_sq=tq.fmt_01_sq,
-                                be_upper=BoundInputs.from_moments(tq.var, 0j, 2).upper(tq.gap_v1)))
+            rows.append(triangular_quantities(params, grid.m))
         else:
             rows.append(_whitened_row(params, grid))
     slope_gap = _loglog_slope([r.T for r in rows], [r.gap for r in rows])
@@ -430,9 +405,8 @@ def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:
     products, P = A A and Q = A^H A: var = ||A||^2, E F^2 = sum A o A^T,
     E F^3 = 2 sum P o A^T, E F^2 conj(F) = 2 <P, A>, both squared contraction
     norms are ||Q||^2 (||A A^H|| = ||A^H A|| by trace cyclicity) and the gap is
-    2 ||Q||^2 + 4 ||P||^2.  ``var`` is the raw variance, the other fields those
-    of the statistic scaled to unit variance.  The generic routes on the
-    whitened kernel are the test suite's oracle."""
+    2 ||Q||^2 + 4 ||P||^2, with the conventions of ``RateRow``.  The generic
+    routes on the whitened kernel are the test suite's oracle."""
     A = _whitened_kernel(params, grid).coeffs
     P = A @ A
     Q = A.conj().T @ A

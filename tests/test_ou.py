@@ -214,17 +214,21 @@ def test_structured_matches_dense(lam, omega, T, m):
     Kn = K * nu
     tq = triangular_quantities(p, m)
     assert tq.var == pytest.approx(nu**2 * inner_product(K, K).real, rel=1e-12)
-    assert tq.gap_v1 == pytest.approx(fourth_gap(Kn, "v1"), rel=1e-11)
-    assert tq.gap_v2 == pytest.approx(fourth_gap(Kn, "v2"), rel=1e-11)
+    # the one structured gap against both dense expansions
+    assert tq.gap == pytest.approx(fourth_gap(Kn, "v1"), rel=1e-11)
+    assert tq.gap == pytest.approx(fourth_gap(Kn, "v2"), rel=1e-11)
     table = fmt_norms(Kn)
     assert tq.fmt_10_sq == pytest.approx(table[(1, 0)] ** 2, rel=1e-11)
     assert tq.fmt_01_sq == pytest.approx(table[(0, 1)] ** 2, rel=1e-11)
+    assert tq.fmt_10_sq == tq.fmt_01_sq
     e3, e21 = third_moments_closed(Kn)
-    assert tq.e3_mixed_abs == pytest.approx(abs(e21), rel=1e-11)
-    assert abs(e3) == 0.0
-    # the sweep's bound column against the circular evaluator on the dense kernel
+    assert tq.e3_mixed == pytest.approx(abs(e21), rel=1e-11)
+    assert abs(e3) == 0.0 and tq.e3 == 0.0
+    # the sweep's row is the structured row, and its bound column matches the
+    # circular evaluator on the dense kernel
     row = rate_sweep(p, [T / 2, T], dt=T / m).rows[-1]
-    assert row.m == m
+    assert row == tq
+    assert row.T == T and row.m == m
     assert row.be_upper == pytest.approx(be_upper_circular(Kn), rel=1e-10)
 
 
@@ -434,8 +438,8 @@ def test_fractional_standard_branch_matches_structured():
     fq = asdict(_whitened_row(p, GridSpec(m=100)))
     tq = triangular_quantities(p, 100)
     assert fq["var"] == pytest.approx(tq.var / normalization_factor(p) ** 2, rel=1e-12)
-    assert fq["gap"] == pytest.approx(tq.gap_v1 / tq.var**2, rel=1e-11)
-    assert fq["e3_mixed"] == pytest.approx(tq.e3_mixed_abs / tq.var**1.5, rel=1e-11)
+    assert fq["gap"] == pytest.approx(tq.gap / tq.var**2, rel=1e-11)
+    assert fq["e3_mixed"] == pytest.approx(tq.e3_mixed / tq.var**1.5, rel=1e-11)
 
 
 def test_whitened_kernel_three_routes_and_gram():
