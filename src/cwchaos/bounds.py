@@ -18,6 +18,7 @@ quantities they multiply are reported as-is.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import permutations
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -219,10 +220,6 @@ def partial_order(p1: int, q1: int, p2: int, q2: int) -> str:
     return "incomparable"
 
 
-def _succeeds(p1: int, q1: int, p2: int, q2: int) -> bool:
-    return partial_order(p1, q1, p2, q2) == "succeeds"
-
-
 # -- multivariate ------------------------------------------------------------------
 
 
@@ -279,8 +276,12 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
 
     with E||F||^4 - E||N||^4 = sum_{j,r} { Cov(|F^j|^2, |F^r|^2) - |E F^j conj(F^r)|^2 }
     evaluated exactly through the contraction identities.  The report also
-    carries the indicator-structured cross-term table (each bracketed term
-    separately, without the unspecified constant)."""
+    carries the indicator-structured cross-term table, each bracketed term
+    without the unspecified constant.  For the ordered pair (F^a, F^b) a term
+    is active iff (p_a, q_a) strictly succeeds F^b's order (p_b, q_b), or its
+    swap (q_b, p_b) for the ``*_swapped_*`` labels; its value is ||f_b||^2 times
+    the entry (p_a - p_b, q_a - q_b) of F^a's ``fmt_norms`` table.  Each bracket
+    is listed twice, at (r, j) as "fr_h_vs_*j" and at (j, r) as "fj_h_vs_*r"."""
     kernels = _single_order_kernels(F)
     d = F.d
     sigma = _pair_matrix(F, pairing_expectation)   # E[F conj(F)']
@@ -299,31 +300,21 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
             quartic += cov_abs_sq(kernels[j], kernels[r]) - abs(sigma[j, r]) ** 2
     bound = 2.0 * sqrt(d * lambda_max) / lambda_min * sqrt(max(quartic, 0.0))
 
-    own = [contraction_sum_sq(k) for k in kernels]
-    cross: list[CrossTerm] = []
-    hs = [reverse_conjugate(k) for k in kernels]
+    tables = [fmt_norms(k) for k in kernels]
+    own = [sum(v * v for v in table.values()) for table in tables]
+    orders = [(k.p, k.q) for k in kernels]
     nsq = [norm_sq(k) for k in kernels]
-    for r in range(d):
-        pr, qr = kernels[r].p, kernels[r].q
-        for j in range(d):
-            if j == r:
-                continue
-            pj, qj = kernels[j].p, kernels[j].q
-            specs = [
-                ("fj_h_vs_swapped_r", _succeeds(pj, qj, qr, pr), kernels[j], hs[j],
-                 pj - qr, qj - pr, nsq[r]),
-                ("fj_h_vs_r", _succeeds(pj, qj, pr, qr), kernels[j], hs[j],
-                 pj - pr, qj - qr, nsq[r]),
-                ("fr_h_vs_swapped_j", _succeeds(pr, qr, qj, pj), kernels[r], hs[r],
-                 pr - qj, qr - pj, nsq[j]),
-                ("fr_h_vs_j", _succeeds(pr, qr, pj, qj), kernels[r], hs[r],
-                 pr - pj, qr - qj, nsq[j]),
-            ]
-            for label, active, fk, hk, ci, cj, other_nsq in specs:
-                value = 0.0
-                if active:
-                    value = other_nsq * norm(contract(fk, hk, ci, cj))
-                cross.append(CrossTerm(r=r, j=j, label=label, active=active, value=value))
+    cross: list[CrossTerm] = []
+    for r, j in permutations(range(d), 2):
+        for a, b, label in ((j, r, "fj_h_vs_swapped_r"), (j, r, "fj_h_vs_r"),
+                            (r, j, "fr_h_vs_swapped_j"), (r, j, "fr_h_vs_j")):
+            (pa, qa), (pb, qb) = orders[a], orders[b]
+            if "swapped" in label:
+                pb, qb = qb, pb
+            active = partial_order(pa, qa, pb, qb) == "succeeds"
+            # the strict order keeps 0 < (pa - pb) + (qa - qb) < pa + qa, F^a's table range
+            value = nsq[b] * tables[a][(pa - pb, qa - qb)] if active else 0.0
+            cross.append(CrossTerm(r=r, j=j, label=label, active=active, value=value))
 
     return BoundReport(
         d=d,

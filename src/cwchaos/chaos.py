@@ -94,10 +94,6 @@ class ChaosVariable:
     def constant_variable(cls, space: SpaceSpec, value: complex) -> "ChaosVariable":
         return cls(space, {}, value)
 
-    @property
-    def degree(self) -> int:
-        return max((p + q for (p, q) in self.terms), default=0)
-
     def __add__(self, other: "ChaosVariable") -> "ChaosVariable":
         if not self.space.same_as(other.space):
             raise SpaceError("chaos variables live on different spaces")
@@ -135,10 +131,6 @@ class ChaosVector:
     @property
     def d(self) -> int:
         return len(self.components)
-
-    @property
-    def space(self) -> SpaceSpec:
-        return self.components[0].space
 
 
 # -- product formula and expectations -----------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from math import exp, factorial, isfinite, sqrt
+from math import exp, factorial, isfinite, log, sqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -121,8 +121,15 @@ def _subdiagonal_factor(lam, spacing):
 
     beta^2 = 1 + exp(2 lam (t_i - t_{i-1})) / 2 is the factor by which
     |K_{i,i-1}|^2 w^2 gains w^2 / (2T), the mass of the half diagonal cell
-    below the diagonal at node i, on the grid's equal weights w.
+    below the diagonal at node i, on the grid's equal weights w.  Raises
+    ValueError, before any exp, where 4 lam dt > ln(largest float): past it the
+    square of beta^2 that ``triangular_quantities`` forms overflows.
     """
+    limit = log(np.finfo(float).max) / 4               # about 177.45
+    lam_dt = float(np.max(lam * spacing))
+    if not lam_dt <= limit:  # NaN fails
+        raise ValueError(f"grid too coarse for the subdiagonal band: lam dt = {lam_dt!r}"
+                         f" exceeds ln(largest float) / 4 = {limit:.2f}")
     return np.sqrt(1.0 + 0.5 * np.exp(2.0 * lam * spacing))
 
 
@@ -350,10 +357,8 @@ def fbm_gram(params: OUParams, grid: GridSpec) -> np.ndarray:
     |d-1|^(2H) - 2 d^(2H)) / (2H (2H-1)), d = |a - b|, and alpha_H / (2H (2H-1))
     = 1/2.  Consecutive first differences of k^(2H) lie within a factor 2, so
     the second difference is exact and sum(G) telescopes to T^(2H) within a few
-    ulps.  H = 1/2 returns the diagonal quadrature Gram.
+    ulps.  At H = 1/2 the generator is (h, 0, 0, ...): the diagonal quadrature Gram.
     """
-    if params.H == 0.5:
-        return np.diag(grid.nodes_weights(params.T)[1])
     m = grid.m
     first = np.diff(np.arange(m + 1, dtype=float) ** (2 * params.H))
     scale = 0.5 * (params.T / m) ** (2 * params.H)          # alpha_H h^(2H) / (2H (2H-1))

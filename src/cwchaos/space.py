@@ -178,19 +178,11 @@ class Kernel:
         return Kernel(self.space, self.p, self.q, self.coeffs + other.coeffs,
                       symmetric=self.symmetric and other.symmetric)
 
-    def __sub__(self, other: "Kernel") -> "Kernel":
-        self._check_peer(other)
-        return Kernel(self.space, self.p, self.q, self.coeffs - other.coeffs,
-                      symmetric=self.symmetric and other.symmetric)
-
     def __mul__(self, scalar: complex) -> "Kernel":
         return Kernel(self.space, self.p, self.q, self.coeffs * scalar,
                       symmetric=self.symmetric)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Kernel":
-        return self * (-1.0)
 
 
 # -- weighted inner product --------------------------------------------------

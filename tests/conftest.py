@@ -9,11 +9,20 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
-from cwchaos.bounds import be_upper, fmt_norms
+from cwchaos.bounds import CrossTerm, be_upper, fmt_norms, partial_order
 from cwchaos.chaos import _second_moments, fourth_gap, third_moments_closed
 from cwchaos.ou import RateRow, _whitened_kernel
 from cwchaos.sampling import hermite_hl
-from cwchaos.space import Kernel, SpaceSpec, _apply_weights, symmetrize
+from cwchaos.space import (
+    Kernel,
+    SpaceSpec,
+    _apply_weights,
+    contract,
+    norm,
+    norm_sq,
+    reverse_conjugate,
+    symmetrize,
+)
 
 
 @pytest.fixture
@@ -194,3 +203,32 @@ def generic_whitened_row(params, grid) -> RateRow:
                    e3_mixed=abs(third_mixed) / var**1.5, e3=abs(third) / var**1.5,
                    fmt_10_sq=norms[1, 0] ** 2 / var**2, fmt_01_sq=norms[0, 1] ** 2 / var**2,
                    be_upper=be_upper(f * var**-0.5))  # the kernel route, at unit variance
+
+
+def cross_terms_reference(F) -> list[CrossTerm]:
+    """The multivariate report's cross terms, each active bracket from a
+    contraction of its own; the oracle for ``be_upper_multivariate``, which
+    reads them from each component's ``fmt_norms`` table."""
+    kernels = [next(iter(comp.terms.values())) for comp in F.components]
+    hs = [reverse_conjugate(k) for k in kernels]
+    nsq = [norm_sq(k) for k in kernels]
+    cross = []
+    for r in range(F.d):
+        pr, qr = kernels[r].p, kernels[r].q
+        for j in range(F.d):
+            if j == r:
+                continue
+            pj, qj = kernels[j].p, kernels[j].q
+            specs = [
+                ("fj_h_vs_swapped_r", (pj, qj, qr, pr), kernels[j], hs[j],
+                 pj - qr, qj - pr, nsq[r]),
+                ("fj_h_vs_r", (pj, qj, pr, qr), kernels[j], hs[j], pj - pr, qj - qr, nsq[r]),
+                ("fr_h_vs_swapped_j", (pr, qr, qj, pj), kernels[r], hs[r],
+                 pr - qj, qr - pj, nsq[j]),
+                ("fr_h_vs_j", (pr, qr, pj, qj), kernels[r], hs[r], pr - pj, qr - qj, nsq[j]),
+            ]
+            for label, order_pair, fk, hk, ci, cj, other_nsq in specs:
+                active = partial_order(*order_pair) == "succeeds"
+                value = other_nsq * norm(contract(fk, hk, ci, cj)) if active else 0.0
+                cross.append(CrossTerm(r=r, j=j, label=label, active=active, value=value))
+    return cross

@@ -35,7 +35,7 @@ from cwchaos.chaos import (
 )
 from cwchaos.space import Kernel, SpaceError, SpaceSpec
 
-from conftest import random_kernel, random_space
+from conftest import cross_terms_reference, random_kernel, random_space
 
 
 @pytest.fixture
@@ -251,6 +251,36 @@ def test_multivariate_quartic_identity_vs_engine(rng):
             e_norm4 += product_expectation(abs_sq[j], abs_sq[r]).real
     e_n4 = np.sum(np.abs(sigma) ** 2) + np.trace(sigma).real ** 2
     assert rep.quartic_sum == pytest.approx(e_norm4 - e_n4, rel=1e-9)
+
+
+# orders with p + q <= 4 whose chaos variables are circular (p != q)
+_CIRCULAR_ORDERS = [(p, q) for p in range(5) for q in range(5) if 0 < p + q <= 4 and p != q]
+_MIRROR = {"fr_h_vs_j": "fj_h_vs_r", "fr_h_vs_swapped_j": "fj_h_vs_swapped_r"}
+
+
+def test_cross_terms_match_reference():
+    rng = np.random.default_rng(20261018)
+    n_active = 0
+    for trial in range(120):
+        # distinct orders, never both (p, q) and (q, p): the vector stays circular
+        d = int(rng.integers(2, 5))
+        orders = []
+        for k in rng.permutation(len(_CIRCULAR_ORDERS)):
+            p, q = _CIRCULAR_ORDERS[k]
+            if (q, p) not in orders and len(orders) < d:
+                orders.append((p, q))
+        sp = random_space(rng, int(rng.integers(2, 4)), weighted=trial % 2 == 1)
+        F = ChaosVector([ChaosVariable.from_kernel(random_kernel(rng, sp, p, q))
+                         for (p, q) in orders])
+        cross = be_upper_multivariate(F).cross_terms
+        assert cross == cross_terms_reference(F)  # every field exactly equal
+        by_key = {(t.r, t.j, t.label): t for t in cross}
+        for t in cross:
+            if t.label in _MIRROR:
+                mirror = by_key[(t.j, t.r, _MIRROR[t.label])]
+                assert (mirror.active, mirror.value) == (t.active, t.value)
+        n_active += sum(t.active for t in cross)
+    assert n_active > 0
 
 
 def test_multivariate_rejects_non_circular(sp4):

@@ -375,6 +375,13 @@ def test_ou_commands_reject_bad_spacing(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 2
         assert "positive and finite" in capsys.readouterr().err
+    # so coarse a spacing that the subdiagonal band would overflow
+    coarse = [["ou-rate", "--T", "1200,2400", "--dt", "200"],
+              ["ou-rate", "--lambda", "4", "--T", "800,1600", "--dt", "100"],
+              ["ou-sample", "--lambda", "4", "--T", "800", "--dt", "200", "-N", "10", "-o", out]]
+    for argv in coarse:
+        assert main(argv) == 2
+        assert "grid too coarse for the subdiagonal band: lam dt = " in capsys.readouterr().err
 
 
 def test_ou_sample(tmp_path):

@@ -206,7 +206,8 @@ def test_normalized_variance_is_half_over_lam():
 # -- structured path vs dense kernels -------------------------------------------------------
 
 
-@pytest.mark.parametrize("lam,omega,T,m", [(1.0, 0.0, 6.0, 120), (0.8, 0.9, 9.0, 135)])
+@pytest.mark.parametrize("lam,omega,T,m", [(1.0, 0.0, 6.0, 120), (0.8, 0.9, 9.0, 135),
+                                            (1.0, 0.3, 1020.0, 6)])  # lam dt = 170
 def test_structured_matches_dense(lam, omega, T, m):
     p = OUParams(lam=lam, omega=omega, T=T)
     K = numerator_kernel(p, GridSpec(m=m))
@@ -230,6 +231,20 @@ def test_structured_matches_dense(lam, omega, T, m):
     assert row == tq
     assert row.T == T and row.m == m
     assert row.be_upper == pytest.approx(be_upper_circular(Kn), rel=1e-10)
+
+
+def test_subdiagonal_band_rejects_coarse_grids():
+    # beta^2 ~ exp(2 lam dt) / 2 is squared by the prefix sums: past 4 lam dt =
+    # ln(largest float) every H = 1/2 route raises instead of returning NaN or inf
+    p = OUParams(lam=4.0, T=800.0)
+    with pytest.raises(ValueError, match=r"lam dt = 800\.0 "):
+        sample_numerator(p, GridSpec(m=4), 10, 0)
+    with pytest.raises(ValueError, match="lam dt"):
+        numerator_kernel(p, GridSpec(m=4))
+    with pytest.raises(ValueError, match=r"lam dt = 180\.0 "):
+        triangular_quantities(OUParams(lam=1.0, T=360.0), 2)
+    with pytest.raises(ValueError, match="lam dt = nan"):
+        ou._subdiagonal_factor(1.0, float("nan"))
 
 
 def test_structured_rejects_fractional():
