@@ -16,7 +16,8 @@ diagonal Gram by the Toeplitz two-time Gram matrix G, integrating the
 |u - v|^{2H-2} singularity exactly over the cells.  Its sweep whitens the
 kernel: with G = L L^T (Cholesky), A = L^T K L on the orthonormal space has
 every inner product and contraction that K has under G, and each row field is
-a Frobenius sum over A, A A and A^H A.
+a Frobenius sum over A, A A and A^H A.  One walk, ``_triangle_rows``, applies K to
+columns: to a block of draws in the sampler, and to L in the whitening.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class GridSpec:
     @classmethod
     def from_spacing(cls, T: float, dt: float) -> "GridSpec":
         """Midpoint grid on [0, T] with round(T / dt) nodes."""
-        if not (isfinite(dt) and dt > 0):
-            raise ValueError(f"grid spacing must be positive and finite, got {dt}")
+        if not (isfinite(dt) and dt > 0 and isfinite(T / dt)):  # NaN fails
+            raise ValueError(f"grid spacing must be positive and finite, with T / dt finite: {dt}")
         m = int(round(T / dt))
         if m < 2:
             raise ValueError(f"grid spacing {dt} leaves fewer than 2 nodes at T = {T}")
@@ -392,27 +393,21 @@ def fbm_inner(f: Kernel, g: Kernel, params: OUParams) -> complex:
     return complex(np.sum(out * np.conj(g.coeffs)))
 
 
-def _whitened_kernel(params: OUParams, grid: GridSpec) -> Kernel:
-    """``numerator_kernel`` K under the fractional Gram G = ``fbm_gram`` = L L^T
-    (Cholesky), whitened to L^T K L on the orthonormal space.  Since
-    (L^T K L)(L^T K' L) = L^T (K G K') L, the whitened kernel has under the
-    plain inner product every inner product and contraction that K has under G.
-    """
-    L = np.linalg.cholesky(fbm_gram(params, grid))
-    K = numerator_kernel(params, grid).coeffs
-    # L is real, so real and imaginary parts take real products (half the flops)
-    return Kernel(SpaceSpec.orthonormal(grid.m), 1, 1,
-                  L.T @ K.real @ L + 1j * (L.T @ K.imag @ L))
-
-
 def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:
-    """Sweep row under the fractional Gram from the whitened matrix A and two
-    products, P = A A and Q = A^H A: var = ||A||^2, E F^2 = sum A o A^T,
-    E F^3 = 2 sum P o A^T, E F^2 conj(F) = 2 <P, A>, both squared contraction
-    norms are ||Q||^2 (||A A^H|| = ||A^H A|| by trace cyclicity) and the gap is
-    2 ||Q||^2 + 4 ||P||^2, with the conventions of ``RateRow``.  The generic
-    routes on the whitened kernel are the test suite's oracle."""
-    A = _whitened_kernel(params, grid).coeffs
+    """Sweep row under the Gram G = ``fbm_gram`` = L L^T (Cholesky) from A = L^T K L,
+    K L one ``_triangle_rows`` walk down the rows of L, and two products, P = A A and
+    Q = A^H A: var = ||A||^2, E F^2 = sum A o A^T, E F^3 = 2 sum P o A^T, E F^2 conj(F)
+    = 2 <P, A>, both squared contraction norms are ||Q||^2 (||A A^H|| = ||A^H A|| by
+    trace cyclicity) and the gap is 2 ||Q||^2 + 4 ||P||^2, with the conventions of
+    ``RateRow``.  The generic routes on the dense L^T K L are the test suite's oracle."""
+    L = np.linalg.cholesky(fbm_gram(params, grid))
+    KL = np.zeros((grid.m, grid.m), dtype=complex)
+    for i, row in enumerate(_triangle_rows(params, grid.m, L), start=1):
+        KL[i] = np.conj(row) / sqrt(params.T)
+    A = np.empty_like(KL)
+    A.real = L.T @ KL.real         # L is real: one real product per part
+    A.imag = L.T @ KL.imag
+    del L, KL, row                 # freed before P and Q; a live row would pin the heap top
     P = A @ A
     Q = A.conj().T @ A
     var = float(np.vdot(A, A).real)
@@ -441,6 +436,19 @@ def _ar1_rows(a, x):
         yield y
 
 
+def _triangle_rows(params: OUParams, m: int, x):
+    """Rows 1..m-1 of conj(sqrt(T) K) x (row 0 is zero), K = ``numerator_kernel`` on m
+    nodes, one row of x at a time: the ``_ar1_rows`` walk sum_{j<i} e^(-gamma (t_i - t_j)) x_j
+    plus, at H = 1/2, the band (beta - 1) e^(-gamma dt) x_{i-1}, coarse-grid checked at the call."""
+    dt = params.T / m
+    a = np.exp(-params.gamma * dt)
+    walk = _ar1_rows(a, (a * row for row in x[:-1]))
+    if params.H != 0.5:
+        return walk
+    band = (_subdiagonal_factor(params.lam, dt) - 1.0) * a
+    return (w + band * prev for w, prev in zip(walk, x))
+
+
 _MAX_WORKERS = 4                       # sample_numerator blocks of draws alive at once
 
 
@@ -455,11 +463,10 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> Sam
     """Monte Carlo batch of the numerator statistic scaled by ``normalization_factor``.
 
     Evaluates the quadratic form sum_{j<i} K_{ij} Z_i conj(Z_j) of
-    ``numerator_kernel`` by one walk down the grid per sample block: row i pairs
-    Z_i with conj(W_i + band Z_{i-1}), where W_i = sum_{j<i} e^(-gamma (t_i - t_j)) Z_j
-    is the AR(1) recursion and band Z_{i-1} the first-subdiagonal band.  The sum
-    accumulates row by row, so cost is O(m N) rather than O(m^2 N) and the block
-    of draws is the only m x block array.
+    ``numerator_kernel`` by one ``_triangle_rows`` walk down each sample block,
+    pairing Z_i with row i conjugated, band included.  The sum accumulates row
+    by row, so cost is O(m N) rather than O(m^2 N) and the block of draws is
+    the only m x block array.
 
     Each block has its own random stream, so blocks run concurrently on one
     thread per usable core, at most ``_MAX_WORKERS`` = 4, and the batch is the
@@ -473,10 +480,7 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> Sam
         raise ValueError("N must be >= 1")
     m = grid.m
     T = params.T
-    dt = T / m
-    a = np.exp(-params.gamma * dt)
-    band = (_subdiagonal_factor(params.lam, dt) - 1.0) * a
-    scale = dt / sqrt(T) * normalization_factor(params)
+    scale = T / m / sqrt(T) * normalization_factor(params)      # dt / sqrt(T), normalized
 
     block = max(1024, min(1 << 16, (8 << 20) // m))
     values = np.empty(N, dtype=complex)
@@ -486,8 +490,8 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> Sam
         lo, hi = ib * block, min((ib + 1) * block, N)
         Z = _complex_normal(_block_rng(seed, ib), (m, hi - lo))
         acc = np.zeros(hi - lo, dtype=complex)
-        for i, w in enumerate(_ar1_rows(a, (a * z for z in Z[:-1])), start=1):
-            acc += Z[i] * np.conj(w + band * Z[i - 1])
+        for z, row in zip(Z[1:], _triangle_rows(params, m, Z)):
+            acc += z * np.conj(row)
         values[lo:hi] = scale * acc
 
     # imported here: concurrent.futures loads logging, which would add about

@@ -119,8 +119,8 @@ def hermite_hl(p: int, q: int, z):
 # -- chaos sampler -------------------------------------------------------------------
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
+def _block_rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -203,12 +203,9 @@ def sample_gaussian(target: GaussianTarget, N: int, seed: int) -> SampleBatch:
     2x2 covariance (rank-deficient targets degrade gracefully)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    C = target.covariance()
-    eigval, eigvec = np.linalg.eigh(C)
+    eigval, eigvec = np.linalg.eigh(target.covariance())
     L = eigvec @ np.diag(np.sqrt(np.clip(eigval, 0.0, None)))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    g = rng.standard_normal((2, N))
-    xy = L @ g
+    xy = L @ _block_rng(seed).standard_normal((2, N))
     meta = (f"sample_gaussian sigma_sq={target.sigma_sq!r} a={target.a!r} b={target.b!r} "
             f"seed={seed} N={N} version={GENERATOR_VERSION}")
     return SampleBatch(values=xy[0] + 1j * xy[1], seed=seed, meta=meta)
@@ -239,8 +236,7 @@ def sliced_wasserstein_2d(x: np.ndarray, y: np.ndarray, K: int = 64, seed: int =
         raise ValueError("sliced_wasserstein_2d needs two equal-length 1-d batches")
     if K < 1:
         raise ValueError("K must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    thetas = rng.uniform(0.0, pi, size=K)
+    thetas = _block_rng(seed).uniform(0.0, pi, size=K)
     total = 0.0
     for theta in thetas:
         rot = np.exp(-1j * theta)

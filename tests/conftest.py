@@ -11,7 +11,7 @@ import pytest
 
 from cwchaos.bounds import CrossTerm, be_upper, fmt_norms, partial_order
 from cwchaos.chaos import _second_moments, fourth_gap, third_moments_closed
-from cwchaos.ou import RateRow, _whitened_kernel
+from cwchaos.ou import RateRow, fbm_gram, numerator_kernel
 from cwchaos.sampling import hermite_hl
 from cwchaos.space import (
     Kernel,
@@ -190,10 +190,24 @@ def exact_wasserstein_2d(x: np.ndarray, y: np.ndarray, max_n: int = 2000) -> flo
     return float(cost[rows, cols].mean())
 
 
+def whitened_kernel(params, grid) -> Kernel:
+    """``numerator_kernel`` K under the fractional Gram G = ``fbm_gram`` = L L^T
+    (Cholesky), whitened to L^T K L on the orthonormal space by dense products.
+    Since (L^T K L)(L^T K' L) = L^T (K G K') L, the whitened kernel has under the
+    plain inner product every inner product and contraction that K has under G.
+    """
+    L = np.linalg.cholesky(fbm_gram(params, grid))
+    K = numerator_kernel(params, grid).coeffs
+    # L is real, so real and imaginary parts take real products (half the flops)
+    return Kernel(SpaceSpec.orthonormal(grid.m), 1, 1,
+                  L.T @ K.real @ L + 1j * (L.T @ K.imag @ L))
+
+
 def generic_whitened_row(params, grid) -> RateRow:
     """Fractional sweep row from the library's generic moment, gap and
-    contraction routes on the whitened kernel; the oracle for ``ou._whitened_row``."""
-    f = _whitened_kernel(params, grid)
+    contraction routes on the dense whitened kernel; the oracle for
+    ``ou._whitened_row``, which walks the triangle instead."""
+    f = whitened_kernel(params, grid)
     var, _ = _second_moments(f)
     third, third_mixed = third_moments_closed(f)
     norms = fmt_norms(f)

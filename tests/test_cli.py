@@ -384,6 +384,17 @@ def test_ou_commands_reject_bad_spacing(tmp_path, capsys):
         assert "grid too coarse for the subdiagonal band: lam dt = " in capsys.readouterr().err
 
 
+def test_ou_commands_reject_overflowing_node_count(tmp_path, capsys):
+    # T / dt overflows to inf on a subnormal spacing: bad input, not an OverflowError
+    out = str(tmp_path / "ou.csv")
+    cases = [["ou-rate", "--T", "50,100", "--dt", "1e-320"],
+             ["ou-sample", "--T", "5", "--dt", "1e-320", "-N", "10", "-o", out],
+             ["ou-verify", "--dt", "0.1,1e-320"]]
+    for argv in cases:
+        assert main(argv) == 2
+        assert "T / dt finite" in capsys.readouterr().err
+
+
 def test_ou_sample(tmp_path):
     out = tmp_path / "ou.csv"
     assert main(["ou-sample", "--T", "5", "--dt", "0.1", "-N", "1000",

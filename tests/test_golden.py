@@ -50,6 +50,8 @@ CASES = (
                                  "--T", "20,40,80", "--dt", "0.1", "-o", "{out}"]),
         ("ou_rate_h070.csv", 0, ["ou-rate", "--lambda", "1.0", "--omega", "0.5", "--hurst", "0.7",
                                  "--T", "10,20,40", "--dt", "0.25", "-o", "{out}"]),
+        ("ou_rate_h060.csv", 0, ["ou-rate", "--lambda", "0.7", "--omega=-1.3", "--hurst", "0.6",
+                                 "--T", "20,40,80", "--dt", "0.2", "-o", "{out}"]),
         ("sample_k21.csv", 0, ["sample", "--kernel", "{in}/k21.json", "-N", "300",
                                "--seed", "11", "-o", "{out}"]),
         ("sample_chaos.csv", 0, ["sample", "--chaos", "{in}/chaos.json", "-N", "300",

@@ -32,7 +32,7 @@ from cwchaos.ou import (
     triangular_quantities,
     verify_denominator_identity,
     _ar1_rows,
-    _whitened_kernel,
+    _triangle_rows,
     _whitened_row,
 )
 from cwchaos.sampling import _block_rng, _complex_normal
@@ -43,6 +43,7 @@ from conftest import (
     generic_whitened_row,
     separate_numerator_coeffs,
     separate_occupation_coeffs,
+    whitened_kernel,
 )
 
 
@@ -457,13 +458,46 @@ def test_fractional_standard_branch_matches_structured():
     assert fq["e3_mixed"] == pytest.approx(tq.e3_mixed / tq.var**1.5, rel=1e-11)
 
 
+@pytest.mark.parametrize("H", [0.5, 0.7])
+@pytest.mark.parametrize("m", [2, 3, 40])
+def test_triangle_rows_apply_the_numerator_kernel(H, m):
+    # the walk's rows conjugated, over sqrt(T), are rows 1..m-1 of K conj(x),
+    # band included at H = 1/2, on a complex block and on a real lower triangle
+    p = OUParams(lam=0.8, omega=-0.6, T=0.1 * m, H=H)
+    K = numerator_kernel(p, GridSpec(m=m)).coeffs
+    rng = np.random.default_rng(m)
+    block = rng.standard_normal((m, 5)) + 1j * rng.standard_normal((m, 5))
+    lower = np.tril(rng.standard_normal((m, m)))
+    for x in (block, lower):
+        rows = np.array(list(_triangle_rows(p, m, x)))
+        assert rows.shape == (m - 1, x.shape[1])        # m = 2 has a single row
+        want = (K @ np.conj(x))[1:]
+        assert np.max(np.abs(np.conj(rows) / sqrt(p.T) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_whitened_row_memory_budget():
+    # L and K L are freed before P and Q: the peak stays near four complex
+    # m x m arrays (A, P, Q and one temporary)
+    import tracemalloc
+
+    m = 300
+    p, g = OUParams(lam=1.0, omega=0.5, T=0.2 * m, H=0.7), GridSpec(m=m)
+    tracemalloc.start()
+    try:
+        _whitened_row(p, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.75 * 16 * m * m
+
+
 def test_whitened_kernel_three_routes_and_gram():
     # the whitened kernel runs every gap route, and its second moments are the
     # slotwise-Gram pairings of the unwhitened numerator kernel
     for H, m in itertools.product((0.6, 0.7), (5, 12, 30)):
         p = OUParams(lam=1.0, omega=0.5, T=3.0, H=H)
         g = GridSpec(m=m)
-        rep = moment_report(_whitened_kernel(p, g))
+        rep = moment_report(whitened_kernel(p, g))
         assert rep.route_spread() <= 1e-12
         K = numerator_kernel(p, g)
         assert rep.var_abs == pytest.approx(fbm_inner(K, K, p), rel=1e-12)

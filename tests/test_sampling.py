@@ -326,6 +326,26 @@ def test_sliced_rotation_of_circular_batch():
     assert sliced_wasserstein_2d(z, rotated, K=32, seed=1) <= 0.02
 
 
+def test_seeded_streams_are_philox_on_the_bare_seed():
+    # sample_gaussian and sliced_wasserstein_2d draw from _block_rng(seed), the
+    # same stream as Philox on SeedSequence(entropy=seed) built inline
+    def inline(seed):
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+
+    target, N, seed = GaussianTarget(2.0, a=0.3, b=-0.4), 1000, 29
+    eigval, eigvec = np.linalg.eigh(target.covariance())
+    L = eigvec @ np.diag(np.sqrt(np.clip(eigval, 0.0, None)))
+    xy = L @ inline(seed).standard_normal((2, N))
+    assert np.array_equal(sample_gaussian(target, N, seed).values, xy[0] + 1j * xy[1])
+
+    rng = np.random.default_rng(8)
+    x, y = (rng.standard_normal(500) + 1j * rng.standard_normal(500) for _ in range(2))
+    thetas = inline(seed).uniform(0.0, np.pi, size=16)
+    want = sum(wasserstein_1d((x * np.exp(-1j * t)).real, (y * np.exp(-1j * t)).real)
+               for t in thetas) / 16
+    assert sliced_wasserstein_2d(x, y, K=16, seed=seed) == want
+
+
 def test_exact_wasserstein_small():
     rng = np.random.default_rng(7)
     z = rng.standard_normal(300) + 1j * rng.standard_normal(300)
