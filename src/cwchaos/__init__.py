@@ -14,6 +14,7 @@ Modules by concern:
 __version__ = "0.1.0"
 
 from .space import (
+    InputError,
     Kernel,
     SpaceError,
     SpaceSpec,

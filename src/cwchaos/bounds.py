@@ -26,15 +26,16 @@ import numpy as np
 from .chaos import (
     ChaosVariable,
     ChaosVector,
+    _cov_groups,
     _gap_terms,
     _second_moments,
-    cov_abs_sq,
+    conjugate,
     fourth_gap,
     pairing_expectation,
-    product_expectation,
     third_moments_closed,
 )
-from .space import Kernel, SpaceError, contract, norm, norm_sq, reverse_conjugate, symmetrize
+from .space import (InputError, Kernel, SpaceError, contract, norm, norm_sq,
+                    reverse_conjugate, symmetrize)
 
 __all__ = [
     "NonCircularError",
@@ -62,11 +63,11 @@ __all__ = [
 CIRCULAR_TOL = 1e-8
 
 
-class NonCircularError(ValueError):
+class NonCircularError(InputError):
     """Raised when a circular-case evaluator receives a non-circular input."""
 
 
-class SingularCovarianceError(ValueError):
+class SingularCovarianceError(InputError):
     """Raised when a bound needs an invertible covariance and does not get one."""
 
 
@@ -223,9 +224,9 @@ def partial_order(p1: int, q1: int, p2: int, q2: int) -> str:
 # -- multivariate ------------------------------------------------------------------
 
 
-def _pair_matrix(F: ChaosVector, pair) -> np.ndarray:
-    """d x d complex matrix with entries pair(F^j, F^r)."""
-    return np.array([[pair(Fj, Fr) for Fr in F.components] for Fj in F.components],
+def _pair_matrix(F: ChaosVector, G: list[ChaosVariable]) -> np.ndarray:
+    """d x d complex matrix with entries E[F^j conj(G[r])]."""
+    return np.array([[pairing_expectation(Fj, Gr) for Gr in G] for Fj in F.components],
                     dtype=complex)
 
 
@@ -274,8 +275,11 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
 
         d_W(F, Z) <= (2 sqrt(d lambda_max) / lambda_min) sqrt(E||F||^4 - E||N||^4),
 
-    with E||F||^4 - E||N||^4 = sum_{j,r} { Cov(|F^j|^2, |F^r|^2) - |E F^j conj(F^r)|^2 }
-    evaluated exactly through the contraction identities.  The report also
+    with E||F||^4 - E||N||^4 = sum_{j,r} { Cov(|F^j|^2, |F^r|^2) - |E F^j conj(F^r)|^2 }.
+    Each bracket is the gap expansion's groups (``chaos._cov_groups``, symmetric
+    in j and r, so summed over j <= r with weight 2 off the diagonal) plus
+    |E F^j F^r|^2, read from the circularity check's pseudo-covariance table;
+    no term is added and subtracted again.  The report also
     carries the indicator-structured cross-term table, each bracketed term
     without the unspecified constant.  For the ordered pair (F^a, F^b) a term
     is active iff (p_a, q_a) strictly succeeds F^b's order (p_b, q_b), or its
@@ -284,7 +288,7 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
     is listed twice, at (r, j) as "fr_h_vs_*j" and at (j, r) as "fj_h_vs_*r"."""
     kernels = _single_order_kernels(F)
     d = F.d
-    sigma = _pair_matrix(F, pairing_expectation)   # E[F conj(F)']
+    sigma = _pair_matrix(F, F.components)   # E[F conj(F)']
     eig = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
     lambda_max, lambda_min = float(eig[-1]), float(eig[0])
 
@@ -294,10 +298,10 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
                                f" {circular_tol:.1e} x the largest component variance")
     _check_nonsingular(lambda_min, lambda_max)
 
-    quartic = 0.0
+    quartic = float(np.sum(np.abs(circ.pseudo) ** 2))
     for j in range(d):
-        for r in range(d):
-            quartic += cov_abs_sq(kernels[j], kernels[r]) - abs(sigma[j, r]) ** 2
+        for r in range(j, d):
+            quartic += (1 if r == j else 2) * _cov_groups(kernels[j], kernels[r])
     bound = 2.0 * sqrt(d * lambda_max) / lambda_min * sqrt(max(quartic, 0.0))
 
     tables = [fmt_norms(k) for k in kernels]
@@ -354,7 +358,7 @@ class CircularityReport:
 def circularity_check(F: ChaosVector, tol: float = CIRCULAR_TOL) -> CircularityReport:
     """Pseudo-covariance table, passed when its largest entry is at most ``tol``
     times the largest component variance."""
-    pseudo = _pair_matrix(F, product_expectation)
+    pseudo = _pair_matrix(F, [conjugate(c) for c in F.components])  # E[F^j F^r]
     max_abs = float(np.max(np.abs(pseudo)))
     scale = max(pairing_expectation(c, c).real for c in F.components)
     return CircularityReport(pseudo=pseudo, max_abs=max_abs, tol=tol,
@@ -392,7 +396,7 @@ class CltReport:
 
 def clt_conditions(F: ChaosVariable, M: int) -> CltReport:
     if M < 1:
-        raise ValueError(f"truncation order must be >= 1 (chaos orders start at 1), got {M}")
+        raise InputError(f"truncation order must be >= 1 (chaos orders start at 1), got {M}")
     variances = {}
     tables = {}
     tail = 0.0

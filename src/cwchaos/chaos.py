@@ -18,6 +18,8 @@ engine, coded independently, and the contraction expansion of
 of f.  The expansion's coefficients are written once, in :func:`_gap_terms`,
 which also gives :mod:`cwchaos.bounds` its contraction table and sandwich
 constants.
+Symmetrization is linear, so the expansions contract raw kernels and symmetrize
+each sum once: ``multiply`` per output order, ``_cov_groups`` per phi_r group.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from .space import (
     ENTRY_CAP,
+    InputError,
     Kernel,
     SpaceError,
     SpaceSpec,
@@ -40,7 +43,6 @@ from .space import (
     kernel_to_json,
     norm_sq,
     reverse_conjugate,
-    sym_contract,
     symmetrize,
 )
 
@@ -141,7 +143,7 @@ def conjugate(F: ChaosVariable) -> ChaosVariable:
     reverse complex conjugate kernel; involution."""
     terms = {}
     for (p, q), kern in F.terms.items():
-        terms[(q, p)] = symmetrize(reverse_conjugate(kern))
+        terms[(q, p)] = reverse_conjugate(kern)
     return ChaosVariable(F.space, terms, np.conj(F.constant))
 
 
@@ -168,13 +170,13 @@ def multiply(F: ChaosVariable, G: ChaosVariable) -> ChaosVariable:
                 for j in range(min(b, c) + 1):
                     coef = (comb(a, i) * comb(d, i) * comb(b, j) * comb(c, j)
                             * factorial(i) * factorial(j))
-                    kern = sym_contract(f, g, i, j) * coef
+                    kern = contract(f, g, i, j) * coef
                     key = (a + c - i - j, b + d - i - j)
                     if key == (0, 0):
                         const += complex(kern.coeffs)
                     else:
                         acc[key] = acc[key] + kern if key in acc else kern
-    return ChaosVariable(F.space, acc, const)
+    return ChaosVariable(F.space, {key: symmetrize(k) for key, k in acc.items()}, const)
 
 
 def expectation(F: ChaosVariable) -> complex:
@@ -201,7 +203,7 @@ def product_expectation(F: ChaosVariable, G: ChaosVariable) -> complex:
 
 def power(F: ChaosVariable, k: int) -> ChaosVariable:
     if k < 0:
-        raise ValueError("nonnegative powers only")
+        raise InputError("nonnegative powers only")
     out = ChaosVariable.constant_variable(F.space, 1.0)
     for _ in range(k):
         out = multiply(out, F)
@@ -215,7 +217,7 @@ def moment(F: ChaosVariable, k: int, l: int) -> complex:
     the intermediate block order is max(k, l) times the degree of F.
     """
     if k < 0 or l < 0:
-        raise ValueError("moment orders must be nonnegative")
+        raise InputError("moment orders must be nonnegative")
     return pairing_expectation(power(F, k), power(F, l))
 
 
@@ -236,7 +238,7 @@ def third_moments_closed(f: Kernel) -> tuple[complex, complex]:
     s21 = 0.0 + 0.0j
     for i in range(p + 1):
         coef = factorial(i) * factorial(p - i) * factorial(p) ** 2 * comb(p, i) ** 4
-        g = sym_contract(f, f, i, p - i)
+        g = contract(f, f, i, p - i)  # <Sym g, h> = <g, h> for symmetric h, so g stays raw
         s3 += coef * inner_product(g, h)
         s21 += coef * inner_product(g, f)
     return complex(s3), complex(s21)
@@ -277,7 +279,7 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
         return _cov_groups(f, f)
     if route == "v2":
         return _cov_groups(f, reverse_conjugate(f))
-    raise ValueError(f"unknown route {route!r}")
+    raise InputError(f"unknown route {route!r}")
 
 
 def _gap_terms(p1: int, q1: int, p2: int, q2: int):
@@ -324,9 +326,8 @@ def _cov_groups(f1: Kernel, f2: Kernel) -> float:
     for (k, kp), coef in direct.items():
         total += coef * norm_sq(contract(f1, h2, k, kp))
     for w, coefs in groups.values():
-        phi = reduce(Kernel.__add__, (sym_contract(f1, f2, i, j) * c
-                                      for (i, j), c in coefs.items()))
-        total += w * norm_sq(phi)
+        phi = reduce(Kernel.__add__, (contract(f1, f2, i, j) * c for (i, j), c in coefs.items()))
+        total += w * norm_sq(symmetrize(phi))
     return total
 
 
@@ -435,7 +436,7 @@ def chaos_from_json(doc: dict) -> ChaosVariable:
     try:
         constant = complex(float(doc["constant_re"]), float(doc["constant_im"]))
         raw_terms = list(doc["terms"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SpaceError(f"malformed chaos document: {exc}") from exc
     terms = {}
     space = None

@@ -1,9 +1,9 @@
 """Command-line surface: files in, reports out, CI-friendly exit codes.
 
-Exit codes: 0 on success, 2 on validation failures (unreadable or malformed
-inputs, violated preconditions), 3 on tolerance/assertion failures (route
-disagreement, slopes outside an asserted window, non-shrinking residuals, a
-fourth-moment gap outside its contraction-norm sandwich).
+Exit codes: 0 on success, 2 on validation failures (``InputError``, unreadable
+or non-JSON files, flag values argparse refuses), 3 on tolerance/assertion
+failures (route disagreement, slopes outside an asserted window, non-shrinking
+residuals, a fourth-moment gap outside its contraction-norm sandwich).
 Any other exception is an internal fault and propagates with its traceback.
 """
 
@@ -43,7 +43,7 @@ from .ou import (
     verify_denominator_identity,
 )
 from .sampling import sample_chaos, save_batch
-from .space import SpaceError, load_kernel
+from .space import InputError, SpaceError, load_kernel
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -174,9 +174,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_ou_rate(args) -> int:
-    T_list = [float(x) for x in args.T.split(",")]
-    base = OUParams(lam=args.lam, omega=args.omega, T=T_list[0], H=args.hurst)
-    table = rate_sweep(base, T_list, dt=args.dt)
+    base = OUParams(lam=args.lam, omega=args.omega, T=args.T[0], H=args.hurst)
+    table = rate_sweep(base, args.T, dt=args.dt)
     _write(table.to_csv(), args.output)
     if args.check:
         ok = abs(table.slope_gap - args.gap_slope) <= args.slope_tol
@@ -193,11 +192,10 @@ def cmd_ou_rate(args) -> int:
 
 
 def cmd_ou_verify(args) -> int:
-    dts = [float(x) for x in args.dt.split(",")]
-    if args.check and len(dts) < 2:
-        raise ValueError("--assert needs at least two --dt spacings to compare residuals")
+    if args.check and len(args.dt) < 2:
+        raise InputError("--assert needs at least two --dt spacings to compare residuals")
     params = OUParams(lam=args.lam, omega=args.omega, T=args.T)
-    grids = [GridSpec.from_spacing(args.T, dt) for dt in dts]  # all checked before any path
+    grids = [GridSpec.from_spacing(args.T, dt) for dt in args.dt]  # all checked before any path
     reports = [verify_denominator_identity(params, grid, seed=args.seed, n_paths=args.paths)
                for grid in grids]
     _write(json.dumps([r.to_json() for r in reports], indent=2), args.output)
@@ -218,6 +216,14 @@ def cmd_ou_sample(args) -> int:
 
 
 # -- parser ----------------------------------------------------------------------------
+
+
+def _float_list(text: str) -> list[float]:
+    """Comma-separated floats; argparse reports a bad entry and exits 2."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=0.0)
     p.add_argument("--hurst", type=float, default=0.5)
-    p.add_argument("--T", default="50,100,200,400,800", help="comma-separated horizons")
+    p.add_argument("--T", type=_float_list, default="50,100,200,400,800",
+                   help="comma-separated horizons")
     p.add_argument("--dt", type=float, default=0.05, help="grid spacing (fixed across T)")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--assert", dest="check", action="store_true",
@@ -289,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=0.0)
     p.add_argument("--T", type=float, default=5.0)
-    p.add_argument("--dt", default="0.1,0.01", help="comma-separated spacings, coarse to fine")
+    p.add_argument("--dt", type=_float_list, default="0.1,0.01",
+                   help="comma-separated spacings, coarse to fine")
     p.add_argument("--paths", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
@@ -314,7 +322,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # every library validation error is a ValueError
+    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import BoundInputs
 from .sampling import GENERATOR_VERSION, SampleBatch, _block_rng, _complex_normal
-from .space import ENTRY_CAP, Kernel, SpaceError, SpaceSpec
+from .space import ENTRY_CAP, InputError, Kernel, SpaceError, SpaceSpec
 
 __all__ = [
     "OUParams",
@@ -69,13 +69,13 @@ class OUParams:
     def __post_init__(self) -> None:
         # each test is written so that NaN fails it
         if not (isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lam must be positive and finite")
+            raise InputError("lam must be positive and finite")
         if not isfinite(self.omega):
-            raise ValueError("omega must be finite")
+            raise InputError("omega must be finite")
         if not (isfinite(self.T) and self.T > 0):
-            raise ValueError("T must be positive and finite")
+            raise InputError("T must be positive and finite")
         if not (0.5 <= self.H < 0.75):
-            raise ValueError("H must lie in [0.5, 0.75)")
+            raise InputError("H must lie in [0.5, 0.75)")
 
     @property
     def gamma(self) -> complex:
@@ -91,16 +91,16 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 2:
-            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
+            raise InputError(f"m must be an integer >= 2, got {self.m!r}")
 
     @classmethod
     def from_spacing(cls, T: float, dt: float) -> "GridSpec":
         """Midpoint grid on [0, T] with round(T / dt) nodes."""
         if not (isfinite(dt) and dt > 0 and isfinite(T / dt)):  # NaN fails
-            raise ValueError(f"grid spacing must be positive and finite, with T / dt finite: {dt}")
+            raise InputError(f"grid spacing must be positive and finite, with T / dt finite: {dt}")
         m = int(round(T / dt))
         if m < 2:
-            raise ValueError(f"grid spacing {dt} leaves fewer than 2 nodes at T = {T}")
+            raise InputError(f"grid spacing {dt} leaves fewer than 2 nodes at T = {T}")
         return cls(m=m)
 
     def nodes_weights(self, T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -123,13 +123,13 @@ def _subdiagonal_factor(lam, spacing):
     beta^2 = 1 + exp(2 lam (t_i - t_{i-1})) / 2 is the factor by which
     |K_{i,i-1}|^2 w^2 gains w^2 / (2T), the mass of the half diagonal cell
     below the diagonal at node i, on the grid's equal weights w.  Raises
-    ValueError, before any exp, where 4 lam dt > ln(largest float): past it the
+    InputError, before any exp, where 4 lam dt > ln(largest float): past it the
     square of beta^2 that ``triangular_quantities`` forms overflows.
     """
     limit = log(np.finfo(float).max) / 4               # about 177.45
     lam_dt = float(np.max(lam * spacing))
     if not lam_dt <= limit:  # NaN fails
-        raise ValueError(f"grid too coarse for the subdiagonal band: lam dt = {lam_dt!r}"
+        raise InputError(f"grid too coarse for the subdiagonal band: lam dt = {lam_dt!r}"
                          f" exceeds ln(largest float) / 4 = {limit:.2f}")
     return np.sqrt(1.0 + 0.5 * np.exp(2.0 * lam * spacing))
 
@@ -199,7 +199,7 @@ def normalization_factor(params: OUParams) -> float:
     form.  Raises only where that factor underflows to 0 (2 lam T below 1e-323)."""
     factor = _variance_factor(params)
     if factor <= 0.0:
-        raise ValueError(f"variance factor {factor:.3e} <= 0: horizon too short (T = {params.T!r})")
+        raise InputError(f"variance factor {factor:.3e} <= 0: horizon too short (T = {params.T!r})")
     return factor ** -0.5
 
 
@@ -244,8 +244,8 @@ def triangular_quantities(params: OUParams, m: int) -> RateRow:
     E F_T^2 and E F_T^3 exactly 0.
     """
     if params.H != 0.5:
-        raise ValueError("structured quantities are for the H = 1/2 branch")
-    m = int(GridSpec(m).m)  # an integer m >= 2, or ValueError
+        raise InputError("structured quantities are for the H = 1/2 branch")
+    m = int(GridSpec(m).m)  # an integer m >= 2, or InputError
     lam, T = params.lam, params.T
     dt = T / m
     c = 1.0 / sqrt(T)
@@ -322,9 +322,9 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
     """
     T_list = list(T_list)
     if len(T_list) < 2:
-        raise ValueError("a regression slope needs at least two horizons")
+        raise InputError("a regression slope needs at least two horizons")
     if any(t2 <= t1 for t1, t2 in zip(T_list, T_list[1:])):
-        raise ValueError("T_list must be strictly increasing")
+        raise InputError("T_list must be strictly increasing")
     grids = [GridSpec.from_spacing(T, dt) for T in T_list]
     m = max(grid.m for grid in grids)
     if base.H != 0.5 and m * m > ENTRY_CAP:
@@ -472,17 +472,22 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> Sam
     thread per usable core, at most ``_MAX_WORKERS`` = 4, and the batch is the
     same on any core count.  Each worker holds one block of draws, so at most
     four blocks are alive at once: 4 x 128 MiB while m <= 8192, where a block
-    has at most 8<<20 complex entries.
+    has at most 8<<20 complex entries.  A block of draws of more than
+    ``space.ENTRY_CAP`` entries, possible only above m = 16384 since a block
+    keeps at least 1024 columns, raises SpaceError before any draw.
     """
     if params.H != 0.5:
-        raise ValueError("sampling is implemented for the H = 1/2 branch")
+        raise InputError("sampling is implemented for the H = 1/2 branch")
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise InputError("N must be >= 1")
     m = grid.m
     T = params.T
     scale = T / m / sqrt(T) * normalization_factor(params)      # dt / sqrt(T), normalized
 
     block = max(1024, min(1 << 16, (8 << 20) // m))
+    if m * min(block, N) > ENTRY_CAP:
+        raise SpaceError(f"a block of draws needs m x {min(block, N)} = {m * min(block, N)}"
+                         f" entries at m = {m}, above the cap {ENTRY_CAP}")
     values = np.empty(N, dtype=complex)
     n_blocks = (N + block - 1) // block
 
@@ -518,9 +523,9 @@ def simulate_path(params: OUParams, grid: GridSpec, seed: int, n_paths: int = 1)
     Returns (Z, eps) with shapes (m+1,[ n_paths]) and (m,[ n_paths]).
     """
     if params.H != 0.5:
-        raise ValueError("path simulation is implemented for the H = 1/2 branch")
+        raise InputError("path simulation is implemented for the H = 1/2 branch")
     if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+        raise InputError("n_paths must be >= 1")
     m = grid.m
     dt = params.T / m
     a = np.exp(-params.gamma * dt)
@@ -568,9 +573,9 @@ def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
     grid refines.
     """
     if params.H != 0.5:
-        raise ValueError("the identity check is implemented for the H = 1/2 branch")
+        raise InputError("the identity check is implemented for the H = 1/2 branch")
     if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+        raise InputError("n_paths must be >= 1")
     m = grid.m
     T = params.T
     lam = params.lam

@@ -26,7 +26,7 @@ from math import comb, factorial, isfinite, pi, sqrt
 import numpy as np
 
 from .chaos import ChaosVariable
-from .space import _apply_weights
+from .space import InputError, _apply_weights
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -56,7 +56,7 @@ class SampleBatch:
 
     def __post_init__(self):
         if self.values.size < 1:
-            raise ValueError("a batch needs at least one sample")
+            raise InputError("a batch needs at least one sample")
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,10 @@ class GaussianTarget:
 
     def __post_init__(self):
         if not all(isfinite(v) for v in (self.sigma_sq, self.a, self.b)):
-            raise ValueError("sigma_sq, a and b must be finite")
+            raise InputError("sigma_sq, a and b must be finite")
         eigs = np.linalg.eigvalsh(self.covariance())
         if eigs[0] < -1e-12 * eigs[-1]:  # relative to the largest eigenvalue
-            raise ValueError("covariance is not positive semidefinite")
+            raise InputError("covariance is not positive semidefinite")
 
     @classmethod
     def circular(cls, sigma_sq: float) -> "GaussianTarget":
@@ -100,7 +100,7 @@ def hermite_hl(p: int, q: int, z):
     with H_{0,0} = 1, H_{1,0}(z) = z, H_{0,1}(z) = conj(z).
     """
     if p < 0 or q < 0:
-        raise ValueError("orders must be nonnegative")
+        raise InputError("orders must be nonnegative")
     z = np.asarray(z, dtype=complex)
     zbar = np.conj(z)
     table = [[None] * (q + 1) for _ in range(p + 1)]
@@ -120,6 +120,8 @@ def hermite_hl(p: int, q: int, z):
 
 
 def _block_rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    if seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(ss))
 
@@ -182,7 +184,7 @@ def sample_chaos(F: ChaosVariable, N: int, seed: int) -> SampleBatch:
     variance at the usual N^(-1/2) Monte Carlo rate.
     """
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise InputError("N must be >= 1")
     n = F.space.n
     # coefficients in the orthonormalized basis e_k / sqrt(w_k)
     prepared = [(p, q, _apply_weights(kern.coeffs, np.sqrt(kern.space.weights), range(p + q)))
@@ -202,7 +204,7 @@ def sample_gaussian(target: GaussianTarget, N: int, seed: int) -> SampleBatch:
     """Exact bivariate-normal reference samples via eigenfactorization of the
     2x2 covariance (rank-deficient targets degrade gracefully)."""
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise InputError("N must be >= 1")
     eigval, eigvec = np.linalg.eigh(target.covariance())
     L = eigvec @ np.diag(np.sqrt(np.clip(eigval, 0.0, None)))
     xy = L @ _block_rng(seed).standard_normal((2, N))
@@ -220,7 +222,7 @@ def wasserstein_1d(x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("wasserstein_1d needs two equal-length 1-d batches")
+        raise InputError("wasserstein_1d needs two equal-length 1-d batches")
     return float(np.mean(np.abs(np.sort(x) - np.sort(y))))
 
 
@@ -233,9 +235,9 @@ def sliced_wasserstein_2d(x: np.ndarray, y: np.ndarray, K: int = 64, seed: int =
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("sliced_wasserstein_2d needs two equal-length 1-d batches")
+        raise InputError("sliced_wasserstein_2d needs two equal-length 1-d batches")
     if K < 1:
-        raise ValueError("K must be >= 1")
+        raise InputError("K must be >= 1")
     thetas = _block_rng(seed).uniform(0.0, pi, size=K)
     total = 0.0
     for theta in thetas:

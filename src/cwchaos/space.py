@@ -29,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "ENTRY_CAP",
+    "InputError",
     "SpaceSpec",
     "Kernel",
     "inner_product",
@@ -50,7 +51,13 @@ __all__ = [
 ENTRY_CAP = 1 << 24
 
 
-class SpaceError(ValueError):
+class InputError(ValueError):
+    """Raised on bad input: a value, file or precondition the caller must fix.
+    The CLI exits 2 on it; another ValueError from inside the library, such as
+    numpy's LinAlgError, is an internal fault."""
+
+
+class SpaceError(InputError):
     """Raised on invalid spaces or kernel/space mismatches."""
 
 
@@ -336,7 +343,7 @@ def kernel_from_json(doc: dict) -> Kernel:
         grid = None if doc.get("grid") is None else np.array(doc["grid"], dtype=float)
         re = np.array(doc["re"], dtype=float)
         im = np.array(doc["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SpaceError(f"malformed kernel document: {exc}") from exc
     if re.shape != im.shape:
         raise SpaceError("re and im must have equal length")

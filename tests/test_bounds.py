@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cwchaos import bounds, chaos, space
 from cwchaos.bounds import (
     BoundInputs,
     NonCircularError,
@@ -231,26 +232,70 @@ def test_multivariate_d1_reduces_to_circular_quantity(rng):
     assert rep.quartic_sum == pytest.approx(gap, rel=1e-9)
 
 
+def _quartic_oracle(comps) -> float:
+    """E||F||^4 - (||Sigma||_F^2 + (Tr Sigma)^2) by the product-formula moment engine."""
+    d = len(comps)
+    sigma = np.array([[pairing_expectation(a, b) for b in comps] for a in comps])
+    abs_sq = [multiply(c, conjugate(c)) for c in comps]
+    e4 = sum(product_expectation(abs_sq[j], abs_sq[r]).real for j in range(d) for r in range(d))
+    return e4 - float(np.sum(np.abs(sigma) ** 2) + np.trace(sigma).real ** 2)
+
+
 def test_multivariate_quartic_identity_vs_engine(rng):
     # sum_{j,r} { Cov(|F^j|^2, |F^r|^2) - |E F^j conj(F^r)|^2 } equals the direct
     # evaluation of E||F||^4 - (||Sigma||_F^2 + (Tr Sigma)^2)
     sp = random_space(rng, 2, weighted=True)
     comps = [ChaosVariable.from_kernel(random_kernel(rng, sp, p, q))
              for (p, q) in [(1, 0), (2, 0), (2, 1)]]
+    rep = be_upper_multivariate(ChaosVector(comps))
+    assert rep.quartic_sum == pytest.approx(_quartic_oracle(comps), rel=1e-9)
+
+
+_D4_ORDERS = [(1, 0), (2, 0), (2, 1), (3, 0)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_quartic_sum_matches_engine_at_d4(seed):
+    rng = np.random.default_rng(seed)
+    sp = random_space(rng, 3, weighted=True)
+    comps = [ChaosVariable.from_kernel(random_kernel(rng, sp, p, q)) for (p, q) in _D4_ORDERS]
+    expected = _quartic_oracle(comps)
+    assert be_upper_multivariate(ChaosVector(comps)).quartic_sum == pytest.approx(expected,
+                                                                                  rel=1e-12)
+
+
+def test_quartic_sum_counts_pseudo_covariances():
+    # two (1,1) components have E F^j F^r != 0, which the quartic must carry
+    rng = np.random.default_rng(11)
+    sp = random_space(rng, 3, weighted=True)
+    comps = [ChaosVariable.from_kernel(random_kernel(rng, sp, 1, 1)) for _ in range(2)]
     F = ChaosVector(comps)
-    rep = be_upper_multivariate(F)
-    d = F.d
-    sigma = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        for r in range(d):
-            sigma[j, r] = pairing_expectation(comps[j], comps[r])
-    abs_sq = [multiply(c, conjugate(c)) for c in comps]
-    e_norm4 = 0.0
-    for j in range(d):
-        for r in range(d):
-            e_norm4 += product_expectation(abs_sq[j], abs_sq[r]).real
-    e_n4 = np.sum(np.abs(sigma) ** 2) + np.trace(sigma).real ** 2
-    assert rep.quartic_sum == pytest.approx(e_norm4 - e_n4, rel=1e-9)
+    rep = be_upper_multivariate(F, circular_tol=1.0)
+    pseudo_sq = float(np.sum(np.abs(circularity_check(F, tol=1.0).pseudo) ** 2))
+    assert pseudo_sq > 0.01 * rep.quartic_sum
+    assert rep.quartic_sum == pytest.approx(_quartic_oracle(comps), rel=1e-12)
+
+
+def test_multivariate_contracts_and_conjugates_each_kernel_once(monkeypatch):
+    # summing cov_abs_sq over all (j, r) made 41 contractions and 16 conjugations here
+    rng = np.random.default_rng(3)
+    sp = random_space(rng, 3, weighted=True)
+    F = ChaosVector([ChaosVariable.from_kernel(random_kernel(rng, sp, p, q))
+                     for (p, q) in _D4_ORDERS])
+    calls = {"contract": 0, "conjugate": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((space, "contract"), (chaos, "contract"), (bounds, "contract"),
+                         (chaos, "conjugate"), (bounds, "conjugate")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    be_upper_multivariate(F)
+    assert calls["contract"] <= 29
+    assert calls["conjugate"] <= 4
 
 
 # orders with p + q <= 4 whose chaos variables are circular (p != q)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import cwchaos
-from cwchaos import chaos, cli, space
+from cwchaos import chaos, cli, ou, space
 from cwchaos.chaos import ChaosVariable, chaos_to_json
 from cwchaos.cli import main
 from cwchaos.space import Kernel, SpaceSpec, kernel_to_json, save_kernel
@@ -165,6 +165,79 @@ def test_internal_fault_is_not_bad_input(files, monkeypatch):
     monkeypatch.setattr(cli, "moment_report", broken)
     with pytest.raises(TypeError, match="internal fault"):
         main(["moments", str(files / "k11.json")])
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses a flag value with exit 2
+        return exc.code
+
+
+def _kernel_doc(**changes) -> dict:
+    return {**kernel_to_json(Kernel.basis(SpaceSpec.orthonormal(2), (0,), (1,))), **changes}
+
+
+def _chaos_doc(**changes) -> dict:
+    F = ChaosVariable.from_kernel(Kernel.basis(SpaceSpec.orthonormal(2), (0,), (1,)))
+    return {**chaos_to_json(F), **changes}
+
+
+# bad inputs that would surface as numpy, json, codec or argparse errors if unchecked
+_BAD_INPUTS = {
+    "sample-negative-seed": (None, ["sample", "--kernel", "{k12}", "-N", "10", "--seed", "-1",
+                                    "-o", "{out}"]),
+    "ou-sample-negative-seed": (None, ["ou-sample", "--T", "5", "--dt", "0.1", "-N", "10",
+                                       "--seed", "-1", "-o", "{out}"]),
+    "text-coefficient": (json.dumps(_kernel_doc(re=["abc", 0.0, 0.0, 0.0])),
+                         ["moments", "{path}"]),
+    "ragged-weights": (json.dumps(_kernel_doc(weights=[[1.0], [1.0, 2.0]])),
+                       ["moments", "{path}"]),
+    "text-constant": (json.dumps(_chaos_doc(constant_re="abc")), ["clt-check", "{path}"]),
+    "malformed-json": ("{not json", ["moments", "{path}"]),
+    "binary-file": (bytes(range(256)), ["moments", "{path}"]),
+    "text-horizon": (None, ["ou-rate", "--T", "10,abc"]),
+    "text-spacing": (None, ["ou-verify", "--dt", "0.1,x"]),
+}
+
+
+@pytest.mark.parametrize("content, argv", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_bad_input_exits_2(files, content, argv, capsys):
+    path = files / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    names = {"k12": files / "k12.json", "out": files / "out.csv", "path": path}
+    assert _exit_code([arg.format(**names) for arg in argv]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_internal_linalg_error_is_not_bad_input(monkeypatch):
+    # numpy's LinAlgError is a ValueError, but no input of the CLI's is at fault
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "cholesky", broken)
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        main(["ou-rate", "--hurst", "0.7", "--T", "10,20", "--dt", "0.5"])
+
+
+def test_internal_shape_error_is_not_bad_input(files, monkeypatch):
+    def broken(f):
+        return np.ones(2) + np.ones(3)
+
+    monkeypatch.setattr(cli, "fmt_norms", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["fmt-check", str(files / "k12.json")])
+
+
+def test_ou_sample_caps_the_block_before_any_draw(tmp_path, monkeypatch, capsys):
+    # m = 10^6 nodes keep 1024 columns per block: 61 x the entry cap
+    monkeypatch.setattr(ou, "_complex_normal", lambda *a, **k: pytest.fail("drew past the cap"))
+    assert main(["ou-sample", "--T", "50000", "--dt", "0.05", "-N", "100000",
+                 "-o", str(tmp_path / "ou.csv")]) == 2
+    assert "above the cap" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():
