@@ -13,7 +13,8 @@ evaluations that exploit the exponential Toeplitz structure, so horizons with
 tens of thousands of nodes stay cheap; a dense-kernel cross-check at small m
 lives in the test suite.  The fractional branch (1/2 < H < 3/4) replaces the
 diagonal Gram by the Toeplitz two-time Gram matrix G, integrating the
-|u - v|^{2H-2} singularity exactly over the cells.  Its sweep whitens the
+|u - v|^{2H-2} singularity exactly over the cells; ``fbm_inner`` applies G by
+circulant embedding and FFT, without forming it.  Its sweep whitens the
 kernel: with G = L L^T (Cholesky), A = L^T K L on the orthonormal space has
 every inner product and contraction that K has under G, and each row field is
 a Frobenius sum over A, A A and A^H A.  One walk, ``_triangle_rows``, applies K to
@@ -348,22 +349,37 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
 # -- fractional branch ----------------------------------------------------------------
 
 
+def _fgn_generator(params: OUParams, m: int) -> np.ndarray:
+    """Generator g(0..m-1) of the fractional Gram on the m midpoint cells of [0, T].
+
+    On cells of width h, entry (a, b) of the Gram is g(|a - b|), with
+    g(d) = alpha_H h^(2H) (|d+1|^(2H) + |d-1|^(2H) - 2 d^(2H)) / (2H (2H-1)) and
+    alpha_H / (2H (2H-1)) = 1/2: m + 1 integer powers differenced twice.
+    Consecutive first differences of k^(2H) lie within a factor 2, so the second
+    difference is exact.  At H = 1/2 the generator is (h, 0, 0, ...).
+    """
+    powers = np.arange(m + 1, dtype=float) ** (2 * params.H)
+    first = powers[1:] - powers[:-1]
+    gen = np.empty(m)
+    gen[0] = 2.0 * first[0]
+    gen[1:] = first[1:] - first[:-1]
+    gen *= 0.5 * (params.T / m) ** (2 * params.H)           # alpha_H h^(2H) / (2H (2H-1))
+    return gen
+
+
 def fbm_gram(params: OUParams, grid: GridSpec) -> np.ndarray:
     """Full two-time Gram matrix of the fractional inner product on the grid cells.
 
     Entry (a, b) integrates alpha_H |u - v|^(2H-2) exactly over cell_a x cell_b
     (the singularity is integrable; pointwise evaluation would be wrong), so a
-    piecewise-constant kernel gets its exact fractional pairing.  On cells of
-    width h, G is Toeplitz with generator g(d) = alpha_H h^(2H) (|d+1|^(2H) +
-    |d-1|^(2H) - 2 d^(2H)) / (2H (2H-1)), d = |a - b|, and alpha_H / (2H (2H-1))
-    = 1/2.  Consecutive first differences of k^(2H) lie within a factor 2, so
-    the second difference is exact and sum(G) telescopes to T^(2H) within a few
-    ulps.  At H = 1/2 the generator is (h, 0, 0, ...): the diagonal quadrature Gram.
+    piecewise-constant kernel gets its exact fractional pairing.  On the equal
+    midpoint cells G is the symmetric Toeplitz expansion of ``_fgn_generator``,
+    and sum(G) telescopes to T^(2H) within a few ulps.  At H = 1/2 it is the
+    diagonal quadrature Gram.  The sweep's Cholesky factors it; ``fbm_inner``
+    never forms it.
     """
     m = grid.m
-    first = np.diff(np.arange(m + 1, dtype=float) ** (2 * params.H))
-    scale = 0.5 * (params.T / m) ** (2 * params.H)          # alpha_H h^(2H) / (2H (2H-1))
-    gen = scale * np.concatenate(([2.0 * first[0]], np.diff(first)))
+    gen = _fgn_generator(params, m)
     # r[m-1+k] = gen[|k|] and window i is r[i:i+m], so row a of the reversed
     # windows holds r[m-1-a+b] = gen[|a-b|]
     return sliding_window_view(np.concatenate((gen[::-1], gen[1:])), m)[::-1].copy()
@@ -376,21 +392,36 @@ def fbm_inner(f: Kernel, g: Kernel, params: OUParams) -> complex:
     whose cells the Gram integrates over; any other space, including the
     midpoint cells of another horizon, raises SpaceError.  H = 1/2 reduces to
     the ordinary weighted inner product.
+
+    The Toeplitz Gram is embedded in a circulant of length n, the power of two
+    >= 2m - 1, with first column (g_0..g_{m-1}, 0, ..., 0, g_{m-1}..g_1), and
+    applied to each slot by FFT (Chan & Ng, SIAM Review 38, 1996).  A power of
+    two keeps prime m off the slow Bluestein path.  A degree-d pairing costs
+    O(d m^d log m) time and O(n m^(d-1)) memory, and the m x m Gram is never
+    formed: a (1,0) pairing is O(m log m) time and O(m) memory.
     """
     f._check_peer(g)
     if f.space.grid is None:
         raise SpaceError("fbm_inner needs a gridded space")
-    grid = GridSpec(m=f.space.n)
-    t, w = grid.nodes_weights(params.T)
-    if not (np.allclose(f.space.grid, t, rtol=0.0, atol=1e-12 * params.T)
-            and np.allclose(f.space.weights, w, rtol=1e-12, atol=0.0)):
+    m = f.space.n
+    t, w = GridSpec(m=m).nodes_weights(params.T)
+    # a NaN fails either comparison
+    if not (np.max(np.abs(f.space.grid - t)) <= 1e-12 * params.T
+            and np.max(np.abs(f.space.weights - w)) <= 1e-12 * w[0]):
         raise SpaceError(f"fbm_inner needs the midpoint cells of [0, T] with T = {params.T!r}")
-    gram = fbm_gram(params, grid)
+    gen = _fgn_generator(params, m)
+    n = 1 << (2 * m - 2).bit_length()
+    col = np.zeros(n)
+    col[:m] = gen
+    col[n - m + 1:] = gen[:0:-1]
+    # the circulant is real symmetric, so its eigenvalues are real
+    spectrum = np.fft.fft(col).real
     out = f.coeffs
-    for ax in range(f.degree):
-        out = np.tensordot(gram, out, axes=(1, ax))
-        out = np.moveaxis(out, 0, ax)
-    return complex(np.sum(out * np.conj(g.coeffs)))
+    for _ in range(f.degree):
+        # apply the Gram to the last slot and move that slot to the front, so
+        # after every slot has had its turn the slots are back in order
+        out = np.moveaxis(np.fft.ifft(np.fft.fft(out, n) * spectrum)[..., :m], -1, 0)
+    return complex(np.vdot(g.coeffs, out))
 
 
 def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:
@@ -449,6 +480,14 @@ def _triangle_rows(params: OUParams, m: int, x):
     return (w + band * prev for w, prev in zip(walk, x))
 
 
+def _check_draws(m: int, cols: int) -> None:
+    """Raise SpaceError, before any draw, where an m x cols block of draws would
+    have more than ``space.ENTRY_CAP`` entries."""
+    if m * cols > ENTRY_CAP:
+        raise SpaceError(f"a block of draws needs m x {cols} = {m * cols} entries at m = {m},"
+                         f" above the cap {ENTRY_CAP}")
+
+
 _MAX_WORKERS = 4                       # sample_numerator blocks of draws alive at once
 
 
@@ -485,9 +524,7 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> Sam
     scale = T / m / sqrt(T) * normalization_factor(params)      # dt / sqrt(T), normalized
 
     block = max(1024, min(1 << 16, (8 << 20) // m))
-    if m * min(block, N) > ENTRY_CAP:
-        raise SpaceError(f"a block of draws needs m x {min(block, N)} = {m * min(block, N)}"
-                         f" entries at m = {m}, above the cap {ENTRY_CAP}")
+    _check_draws(m, min(block, N))
     values = np.empty(N, dtype=complex)
     n_blocks = (N + block - 1) // block
 
@@ -520,13 +557,16 @@ def simulate_path(params: OUParams, grid: GridSpec, seed: int, n_paths: int = 1)
     via the autoregressive recursion Z_{k+1} = e^(-gamma dt) Z_k + eps_k with
     independent circular Gaussian innovations of the exact conditional variance.
 
-    Returns (Z, eps) with shapes (m+1,[ n_paths]) and (m,[ n_paths]).
+    Returns (Z, eps) with shapes (m+1,[ n_paths]) and (m,[ n_paths]).  An
+    m x n_paths block of draws above ``space.ENTRY_CAP`` entries raises
+    SpaceError before any draw.
     """
     if params.H != 0.5:
         raise InputError("path simulation is implemented for the H = 1/2 branch")
     if n_paths < 1:
         raise InputError("n_paths must be >= 1")
     m = grid.m
+    _check_draws(m, n_paths)
     dt = params.T / m
     a = np.exp(-params.gamma * dt)
     sd = sqrt((1.0 - exp(-2.0 * params.lam * dt)) / (2.0 * params.lam))
@@ -570,13 +610,15 @@ def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
     the strict off-diagonal double Wiener sum built from it,
     F_T = sum_k dz_k conj(Z_k) / sqrt(T) (diagonal terms are Ito-correction
     artifacts the continuous integral excludes).  The residual shrinks as the
-    grid refines.
+    grid refines.  An m x n_paths block of draws above ``space.ENTRY_CAP``
+    entries raises SpaceError before any draw.
     """
     if params.H != 0.5:
         raise InputError("the identity check is implemented for the H = 1/2 branch")
     if n_paths < 1:
         raise InputError("n_paths must be >= 1")
     m = grid.m
+    _check_draws(m, n_paths)
     T = params.T
     lam = params.lam
     dt = T / m

@@ -11,7 +11,7 @@ import pytest
 
 from cwchaos.bounds import CrossTerm, be_upper, fmt_norms, partial_order
 from cwchaos.chaos import _second_moments, fourth_gap, third_moments_closed
-from cwchaos.ou import RateRow, fbm_gram, numerator_kernel
+from cwchaos.ou import GridSpec, RateRow, fbm_gram, numerator_kernel
 from cwchaos.sampling import hermite_hl
 from cwchaos.space import (
     Kernel,
@@ -172,6 +172,17 @@ def cell_integral_gram(params, grid) -> np.ndarray:
             - primitive(right[:, None] - right[None, :])
             - primitive(left[:, None] - left[None, :]))
     return H * (2 * H - 1) * gram
+
+
+def dense_fbm_inner(f: Kernel, g: Kernel, params) -> complex:
+    """<f, g>_H with the dense m x m ``fbm_gram`` contracted into each slot by
+    ``tensordot``; the oracle for ``fbm_inner``'s circulant route."""
+    gram = fbm_gram(params, GridSpec(m=f.space.n))
+    out = f.coeffs
+    for ax in range(f.degree):
+        out = np.tensordot(gram, out, axes=(1, ax))
+        out = np.moveaxis(out, 0, ax)
+    return complex(np.sum(out * np.conj(g.coeffs)))
 
 
 def exact_wasserstein_2d(x: np.ndarray, y: np.ndarray, max_n: int = 2000) -> float:

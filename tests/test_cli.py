@@ -240,6 +240,13 @@ def test_ou_sample_caps_the_block_before_any_draw(tmp_path, monkeypatch, capsys)
     assert "above the cap" in capsys.readouterr().err
 
 
+def test_ou_verify_caps_the_draws_before_any_draw(monkeypatch, capsys):
+    # dt = 1e-7 on [0, 5] is m = 5e7 nodes: a (5e7 x 100) draw, about 80 GB
+    monkeypatch.setattr(ou, "_complex_normal", lambda *a, **k: pytest.fail("drew past the cap"))
+    assert main(["ou-verify", "--T", "5", "--dt", "1e-7,1e-8"]) == 2
+    assert "above the cap" in capsys.readouterr().err
+
+
 def test_import_loads_no_scipy():
     # the runtime needs only numpy; scipy is a test-only dependency, used by the
     # exact Wasserstein oracle in tests/conftest.py

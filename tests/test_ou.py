@@ -8,11 +8,13 @@ import itertools
 import os
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict
 from math import exp, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cwchaos import ou
 from cwchaos.bounds import be_upper_circular, fmt_norms
@@ -36,10 +38,19 @@ from cwchaos.ou import (
     _whitened_row,
 )
 from cwchaos.sampling import _block_rng, _complex_normal
-from cwchaos.space import Kernel, SpaceError, SpaceSpec, inner_product, norm_sq, reverse_conjugate
+from cwchaos.space import (
+    ENTRY_CAP,
+    Kernel,
+    SpaceError,
+    SpaceSpec,
+    inner_product,
+    norm_sq,
+    reverse_conjugate,
+)
 
 from conftest import (
     cell_integral_gram,
+    dense_fbm_inner,
     generic_whitened_row,
     separate_numerator_coeffs,
     separate_occupation_coeffs,
@@ -395,6 +406,78 @@ def test_fbm_inner_checks_the_horizon_of_params():
                 fbm_inner(f, f, OUParams(lam=1.0, T=T, H=H))
 
 
+def _random_midpoint_kernel(rng, m, T, p, q) -> Kernel:
+    shape = (m,) * (p + q)
+    return Kernel(GridSpec(m=m).space(T), p, q,
+                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("H", [0.5, 0.55, 0.7, 0.74])
+@pytest.mark.parametrize("order", [(1, 0), (0, 1), (1, 1), (2, 1)])
+def test_fbm_inner_matches_dense_oracle(H, order):
+    # the circulant route against the dense Gram contracted slot by slot, on
+    # prime m too, where n = 2m would take the Bluestein path
+    rng = np.random.default_rng([int(100 * H), *order])
+    params = OUParams(lam=1.0, T=3.7, H=H)
+    ms = [2, 3, 17, 40] + ([223, 401] if order == (1, 0) else [])
+    for m in ms:
+        f, g = (_random_midpoint_kernel(rng, m, params.T, *order) for _ in range(2))
+        ref = dense_fbm_inner(f, g, params)
+        scale = sqrt(dense_fbm_inner(f, f, params).real * dense_fbm_inner(g, g, params).real)
+        assert abs(fbm_inner(f, g, params) - ref) <= 1e-13 * scale
+
+
+def test_fbm_inner_forms_no_gram(monkeypatch):
+    params = OUParams(lam=1.0, T=2.0, H=0.7)
+    f, g = (_random_midpoint_kernel(np.random.default_rng(i), 17, params.T, 1, 1) for i in (1, 2))
+    ref = dense_fbm_inner(f, g, params)
+    monkeypatch.setattr(ou, "fbm_gram", lambda *a, **k: pytest.fail("formed the m x m Gram"))
+    assert fbm_inner(f, g, params) == pytest.approx(ref, rel=1e-13)
+
+
+def test_fbm_inner_memory_is_linear_in_m():
+    # the dense route held a 4096 x 4096 complex Gram, 256 MiB; the circulant
+    # route holds a few length-8192 vectors
+    m = 4096
+    params = OUParams(lam=1.0, T=5.0, H=0.7)
+    f = _random_midpoint_kernel(np.random.default_rng(3), m, params.T, 1, 0)
+    fbm_inner(f, f, params)                     # numpy.fft is imported on first use
+    tracemalloc.start()
+    try:
+        fbm_inner(f, f, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 16 * m
+
+
+@pytest.mark.parametrize("H", [0.5, 0.7])
+def test_fbm_inner_constant_kernel_on_a_fine_grid(H):
+    # m = 200,000 nodes: the dense Gram would need 320 GB
+    m, T = 200_000, 7.0
+    f = Kernel(GridSpec(m=m).space(T), 1, 0, np.ones(m))
+    assert fbm_inner(f, f, OUParams(lam=1.0, T=T, H=H)) == pytest.approx(T ** (2 * H), rel=1e-12)
+
+
+_ORDERS = [(p, q) for p in range(4) for q in range(4) if p + q <= 3]
+
+
+@given(st.integers(2, 64), st.sampled_from(_ORDERS), st.floats(0.5, 0.74),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_fbm_inner_is_a_hermitian_form(m, order, H, seed):
+    rng = np.random.default_rng(seed)
+    params = OUParams(lam=1.0, T=2.5, H=H)
+    f, g = (_random_midpoint_kernel(rng, m, params.T, *order) for _ in range(2))
+    ff, gg = fbm_inner(f, f, params), fbm_inner(g, g, params)
+    assert ff.real >= 0.0 and abs(ff.imag) <= 1e-13 * ff.real
+    scale = sqrt(ff.real * gg.real)
+    assert abs(fbm_inner(f, g, params) - np.conj(fbm_inner(g, f, params))) <= 1e-13 * scale
+    half = OUParams(lam=1.0, T=2.5, H=0.5)
+    assert abs(fbm_inner(f, g, half) - inner_product(f, g)) <= 1e-13 * sqrt(
+        inner_product(f, f).real * inner_product(g, g).real)
+
+
 def test_fractional_quantities_match_brute_force():
     # tiny-grid reference evaluation of the Gram-paired contractions
     p = OUParams(lam=1.0, omega=0.4, T=2.0, H=0.7)
@@ -663,6 +746,25 @@ def test_path_samplers_need_a_path():
             simulate_path(p, GridSpec(m=10), seed=0, n_paths=n_paths)
         with pytest.raises(ValueError, match="n_paths"):
             verify_denominator_identity(p, GridSpec(m=10), seed=0, n_paths=n_paths)
+
+
+def test_path_samplers_cap_the_draws_before_any_draw(monkeypatch):
+    # a (5e7 x 100) draw is 80 GB, a (1e8 x 1000) draw 1.6 TB; both are refused
+    # before the draw, and a block of exactly ENTRY_CAP entries is not
+    class Drew(Exception):
+        pass
+
+    def no_draw(rng, shape):
+        raise Drew(shape)
+
+    monkeypatch.setattr(ou, "_complex_normal", no_draw)
+    p = OUParams(lam=1.0, T=5.0)
+    for sampler in (simulate_path, verify_denominator_identity):
+        for m, n_paths in ((5 * 10**7, 100), (10**8, 1000), (1 << 14, (1 << 10) + 1)):
+            with pytest.raises(SpaceError, match="above the cap"):
+                sampler(p, GridSpec(m=m), seed=0, n_paths=n_paths)
+        with pytest.raises(Drew):
+            sampler(p, GridSpec(m=1 << 14), seed=0, n_paths=ENTRY_CAP >> 14)
 
 
 def test_denominator_identity_refines():
