@@ -9,12 +9,16 @@ discretized on that grid.
 Conventions:
 
 * Symmetrization acts per block (the first ``p`` axes and the last ``q`` axes
-  independently).
+  independently).  It averages each orbit of multi-indices under permutations
+  of a block's axes, one orbit table per block shape, so its output is exactly
+  symmetric.
 * ``contract(f, g, i, j)`` pairs the *last* ``i`` holomorphic slots of ``f``
   with the *last* ``i`` antiholomorphic slots of ``g``, and the *last* ``j``
   antiholomorphic slots of ``f`` with the *last* ``j`` holomorphic slots of
   ``g``.  No factor is conjugated.  For symmetric kernels the slot choice is
-  immaterial; for raw kernels this fixed convention is part of the API.
+  immaterial; for raw kernels this fixed convention is part of the API.  It is
+  one matrix product of ``f`` as (free, contracted) by ``g`` as (contracted,
+  free), with the contracted side weighted once.
 
 Kernels are immutable after construction and safe to share across threads.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +73,10 @@ class SpaceSpec:
     ``weights`` are all ones for an abstract orthonormal basis, or quadrature
     weights for a discretized L2 space.  ``grid`` optionally carries the node
     coordinates (required by the Ornstein-Uhlenbeck application).
+
+    The space keeps the flat weight product of each degree it has weighted
+    (see ``_weight_product``): no more bytes than the largest kernel weighted
+    on it, which it holds for as long as the space lives.
     """
 
     n: int
@@ -84,6 +93,8 @@ class SpaceSpec:
             raise SpaceError("all weights must be positive and finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_unit", bool(np.all(w == 1.0)))
+        object.__setattr__(self, "_products", {})
         if self.grid is not None:
             g = np.array(self.grid, dtype=float)
             if g.shape != (self.n,):
@@ -107,6 +118,20 @@ class SpaceSpec:
         if (self.grid is None) != (other.grid is None):
             return False
         return self.grid is None or np.array_equal(self.grid, other.grid)
+
+    def _weight_product(self, r: int) -> np.ndarray | None:
+        """The products w[s_1] ... w[s_r] over the n^r multi-indices, flat in
+        row-major order and read-only, formed once per degree; None when every
+        weight is 1, since x * 1.0 == x needs no multiply."""
+        if self._unit:
+            return None
+        prod = self._products.get(r)
+        if prod is None:
+            prod = np.ones(1) if r == 0 else np.multiply.outer(
+                self._weight_product(r - 1), self.weights).ravel()
+            prod.setflags(write=False)
+            self._products[r] = prod  # a racing thread stores an equal array
+        return prod
 
 
 class Kernel:
@@ -146,6 +171,18 @@ class Kernel:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _wrap(cls, space: SpaceSpec, p: int, q: int, arr: np.ndarray,
+              symmetric: bool = False) -> "Kernel":
+        """Kernel over a complex array of shape (n,) * (p + q) that nothing else
+        references, such as the result of an operation; taken without a copy."""
+        arr = np.asarray(arr)  # a 0-d operation returns a numpy scalar
+        arr.setflags(write=False)
+        kern = cls.__new__(cls)
+        kern.space, kern.p, kern.q, kern.coeffs = space, p, q, arr
+        kern.symmetric = bool(symmetric) or (p <= 1 and q <= 1)
+        return kern
+
+    @classmethod
     def zeros(cls, space: SpaceSpec, p: int, q: int) -> "Kernel":
         return cls(space, p, q, np.zeros((space.n,) * (p + q)), symmetric=True)
 
@@ -182,12 +219,12 @@ class Kernel:
 
     def __add__(self, other: "Kernel") -> "Kernel":
         self._check_peer(other)
-        return Kernel(self.space, self.p, self.q, self.coeffs + other.coeffs,
-                      symmetric=self.symmetric and other.symmetric)
+        return Kernel._wrap(self.space, self.p, self.q, self.coeffs + other.coeffs,
+                            symmetric=self.symmetric and other.symmetric)
 
     def __mul__(self, scalar: complex) -> "Kernel":
-        return Kernel(self.space, self.p, self.q, self.coeffs * scalar,
-                      symmetric=self.symmetric)
+        return Kernel._wrap(self.space, self.p, self.q, self.coeffs * scalar,
+                            symmetric=self.symmetric)
 
     __rmul__ = __mul__
 
@@ -195,18 +232,22 @@ class Kernel:
 # -- weighted inner product --------------------------------------------------
 
 
-def _apply_weights(arr: np.ndarray, weights: np.ndarray, axes) -> np.ndarray:
-    """Multiply one weight factor along each of the given axes."""
-    # x * 1.0 == x exactly, so unit weights return arr; a list count costs far
-    # less than a numpy reduction over the few weights of a small kernel
-    if weights.tolist().count(1.0) == len(weights):
+def _apply_weights(arr: np.ndarray, weights, axes) -> np.ndarray:
+    """Multiply one weight factor along each of the given axes, by one product.
+
+    ``weights`` is a SpaceSpec, whose weight products are kept, or a vector of
+    per-slot weights (the sampler's square roots), whose product is formed for
+    this call.  Unit weights return ``arr`` itself.
+    """
+    space = weights if isinstance(weights, SpaceSpec) else SpaceSpec(len(weights), weights)
+    axes = list(axes)
+    prod = space._weight_product(len(axes))
+    if prod is None:
         return arr
-    out = arr
+    shape = [1] * arr.ndim
     for ax in axes:
-        shape = [1] * out.ndim
-        shape[ax] = len(weights)
-        out = out * weights.reshape(shape)
-    return out
+        shape[ax] = space.n
+    return arr * prod.reshape(shape)
 
 
 def inner_product(f: Kernel, g: Kernel) -> complex:
@@ -215,7 +256,7 @@ def inner_product(f: Kernel, g: Kernel) -> complex:
     Conjugate-symmetric in its arguments; <f, f> is real and nonnegative.
     """
     f._check_peer(g)
-    fw = _apply_weights(f.coeffs, f.space.weights, range(f.degree))
+    fw = _apply_weights(f.coeffs, f.space, range(f.degree))
     return complex(np.vdot(g.coeffs, fw))
 
 
@@ -231,38 +272,74 @@ def norm(f: Kernel) -> float:
 # -- symmetrization, conjugation, contraction ---------------------------------
 
 
-def _symmetrize_axes(arr: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Average over all permutations of the given axes.
+#: Largest block, in entries n^k, whose orbit table ``_orbit_table`` keeps.
+_ORBIT_CACHE_ENTRIES = 1 << 16
 
-    Incremental construction: once the first m-1 axes are symmetric, averaging
-    the m placements of the next axis extends the symmetry, so the cost is
-    quadratic in the block size rather than factorial.
+
+@lru_cache(maxsize=32)
+def _orbit_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the n^k flat multi-indices of a k-axis block under permutations
+    of its axes, as read-only (order, starts, sizes, ids): ``order`` lists the
+    flat indices orbit by orbit, ``starts`` where each orbit begins in it,
+    ``sizes`` its members (as floats) and ``ids`` the orbit of each flat index.
+
+    An orbit is a sorted multi-index s_1 <= ... <= s_k, numbered by its colex
+    rank sum_a C(s_a + a - 1, a).  The digits are held in the smallest unsigned
+    dtype: k n^k bytes for n <= 256, beside 8-byte ranks and the table's own
+    16 n^k bytes, where an index array of np.indices would take 8 k n^k.  The
+    cache keeps at most 32 tables of at most ``_ORBIT_CACHE_ENTRIES`` entries
+    (larger blocks call ``_orbit_table.__wrapped__``), each under 2 MiB: at
+    most 64 MiB in all.  Concurrent first calls may build a table twice; the
+    copies are equal.
     """
-    out = arr
-    for m in range(1, len(axes)):
-        acc = out.copy()
-        for i in range(m):
-            acc += np.swapaxes(out, axes[i], axes[m])
-        out = acc / (m + 1)
-    return out
+    dt = np.min_scalar_type(n - 1)
+    digits = np.empty((n,) * k + (k,), dtype=dt)
+    for a in range(k):  # digit a of every multi-index, by broadcasting
+        digits[..., a] = np.arange(n, dtype=dt).reshape((n,) + (1,) * (k - 1 - a))
+    digits = digits.reshape(n ** k, k)
+    digits.sort(axis=1)
+    ids = np.zeros(n ** k, dtype=np.intp)
+    for a in range(k):
+        ids += np.array([math.comb(s + a, a + 1) for s in range(n)])[digits[:, a]]
+    del digits
+    sizes = np.bincount(ids, minlength=math.comb(n + k - 1, k))
+    order = np.argsort(ids, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    table = (order, starts, sizes.astype(float), ids)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def symmetrize(f: Kernel) -> Kernel:
-    """Average over permutations within the holomorphic and antiholomorphic blocks."""
+    """Average over permutations within the holomorphic and antiholomorphic blocks.
+
+    Views the coefficients as an (n^p, n^q) matrix, sums each orbit of each
+    block along its axis, divides by the orbit sizes and gathers the averages
+    back: a fixed number of passes at any block size, and every member of an
+    orbit gets the same value, so the output is exactly symmetric.
+    """
     if f.symmetric:
         return f
-    p, q = f.p, f.q
-    out = _symmetrize_axes(f.coeffs, list(range(p)))
-    out = _symmetrize_axes(out, list(range(p, p + q)))
-    return Kernel(f.space, p, q, out, symmetric=True)
+    n, p, q = f.space.n, f.p, f.q
+    tables = [(axis, _orbit_table(n, k) if n ** k <= _ORBIT_CACHE_ENTRIES
+               else _orbit_table.__wrapped__(n, k))
+              for axis, k in ((0, p), (1, q)) if k > 1]
+    out = f.coeffs.reshape(n ** p, n ** q)
+    for axis, (order, starts, sizes, _) in tables:
+        out = np.add.reduceat(out.take(order, axis), starts, axis)
+        out /= sizes[:, None] if axis == 0 else sizes
+    for axis, (_, _, _, ids) in tables:
+        out = out.take(ids, axis)
+    return Kernel._wrap(f.space, p, q, out.reshape(f.coeffs.shape), symmetric=True)
 
 
 def reverse_conjugate(f: Kernel) -> Kernel:
     """Kernel of the conjugated chaos variable: h(t; s) = conj f(s; t), blocks swapped."""
     p, q = f.p, f.q
     axes = tuple(range(p, p + q)) + tuple(range(p))
-    return Kernel(f.space, q, p, np.conj(np.transpose(f.coeffs, axes)),
-                  symmetric=f.symmetric)
+    return Kernel._wrap(f.space, q, p, np.conj(np.transpose(f.coeffs, axes)),
+                        symmetric=f.symmetric)
 
 
 def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
@@ -272,7 +349,9 @@ def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
 
     Returns a kernel with blocks (f.p + g.p - i - j, f.q + g.q - i - j); ``i = j = 0``
     is the plain tensor product.  Raises SpaceError, before any array is formed,
-    when the output would have more than ``ENTRY_CAP`` entries.
+    when the output would have more than ``ENTRY_CAP`` entries.  Computed as one
+    ``np.matmul`` of f as an (n^free, n^(i+j)) matrix, weighted once by the flat
+    product of its i + j contracted weights, by g as an (n^(i+j), n^free) matrix.
     """
     if not f.space.same_as(g.space):
         raise SpaceError("kernels live on different spaces")
@@ -285,22 +364,28 @@ def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     size = f.space.n ** (a + b + c + d - 2 * (i + j))
     if size > ENTRY_CAP:
         raise SpaceError(f"contraction output needs {size} entries, above the cap {ENTRY_CAP}")
-    f_axes = list(range(a - i, a)) + list(range(a + b - j, a + b))
-    g_axes = list(range(c + d - i, c + d)) + list(range(c - j, c))
-    fw = _apply_weights(f.coeffs, f.space.weights, f_axes)
-    out = np.tensordot(fw, g.coeffs, axes=(f_axes, g_axes))
-
-    # tensordot layout: [f holo free, f anti free, g holo free, g anti free];
-    # target layout groups the two holomorphic blocks first.
+    n = f.space.n
     fh, fa, gh, ga = a - i, b - j, c - j, d - i
+    # f, with one weight per contracted slot, as (free, contracted): [holo
+    # free, anti free, last i holo, last j anti]; g as (contracted, free):
+    # [last i anti, last j holo, holo free, anti free]
+    fw = _apply_weights(f.coeffs, f.space, [*range(fh, a), *range(a + fa, a + b)])
+    ft = np.transpose(fw, [*range(fh), *range(a, a + fa), *range(fh, a), *range(a + fa, a + b)])
+    gt = np.transpose(g.coeffs, [*range(c + ga, c + d), *range(gh, c), *range(gh),
+                                 *range(c, c + ga)])
+    out = np.matmul(ft.reshape(n ** (fh + fa), -1), gt.reshape(n ** (i + j), -1))
+
+    # product layout: [f holo free, f anti free, g holo free, g anti free];
+    # target layout groups the two holomorphic blocks first.
+    out = out.reshape((n,) * (fh + fa + gh + ga))
     order = (
         list(range(0, fh))
         + list(range(fh + fa, fh + fa + gh))
         + list(range(fh, fh + fa))
         + list(range(fh + fa + gh, fh + fa + gh + ga))
     )
-    out = np.transpose(out, order) if order else out
-    return Kernel(f.space, fh + gh, fa + ga, out)
+    out = np.ascontiguousarray(np.transpose(out, order)) if order else out
+    return Kernel._wrap(f.space, fh + gh, fa + ga, out)
 
 
 def sym_contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:

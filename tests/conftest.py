@@ -84,7 +84,8 @@ def separate_occupation_coeffs(params, grid) -> np.ndarray:
 
 
 def contract_reference(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
-    """Contraction by explicit index loops; the oracle for the tensordot path.
+    """Contraction by explicit index loops; the oracle for ``contract``'s one
+    weighted matrix product.
 
     Pairs the last i holomorphic slots of f with the last i antiholomorphic
     slots of g and the last j antiholomorphic slots of f with the last j

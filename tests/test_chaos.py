@@ -118,7 +118,7 @@ def test_multiply_capped_by_entries_not_order(sp4, monkeypatch):
     assert multiply(G, conjugate(G)).constant == pytest.approx(pairing_expectation(G, G))
     # a (2,0) square at n = 65 has a 65^4 > 2^24-entry tensor-product term
     F = basis_variable(SpaceSpec.orthonormal(65), (0, 1), ())
-    monkeypatch.setattr(space.np, "tensordot", lambda *a, **k: pytest.fail("contracted past the cap"))
+    monkeypatch.setattr(space.np, "matmul", lambda *a, **k: pytest.fail("contracted past the cap"))
     with pytest.raises(SpaceError, match="cap"):
         multiply(F, F)
 

@@ -120,7 +120,7 @@ def test_closed_routes_cap_contractions(tmp_path, monkeypatch, capsys):
     path = tmp_path / "k22.json"
     rng = np.random.default_rng(6)
     save_kernel(Kernel(SpaceSpec.orthonormal(20), 2, 2, rng.standard_normal(20 ** 4)), path)
-    monkeypatch.setattr(space.np, "tensordot", lambda *a, **k: pytest.fail("contracted past the cap"))
+    monkeypatch.setattr(space.np, "matmul", lambda *a, **k: pytest.fail("contracted past the cap"))
     assert main(["bound", "--kernel", str(path)]) == 2
     assert "cap" in capsys.readouterr().err
 

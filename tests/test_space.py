@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
+from cwchaos import space
 from cwchaos.space import (
     Kernel,
     SpaceError,
@@ -194,6 +199,87 @@ def test_symmetrize_is_linear(rng):
     assert np.allclose(lhs.coeffs, rhs.coeffs)
 
 
+def _permutation_average(f: Kernel) -> np.ndarray:
+    """Brute-force symmetrization: the mean over all p! q! block permutations."""
+    acc = np.zeros_like(f.coeffs)
+    count = 0
+    for ph in permutations(range(f.p)):
+        for pa in permutations(range(f.p, f.p + f.q)):
+            acc += np.transpose(f.coeffs, ph + pa)
+            count += 1
+    return acc / count
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p, q", [(3, 0), (0, 3), (2, 2), (3, 2), (4, 0), (1, 4), (5, 0)])
+def test_symmetrize_matches_permutation_average(rng, p, q, n, weighted):
+    sp = random_space(rng, n, weighted=weighted)
+    f = random_kernel(rng, sp, p, q, symmetric=False)
+    s = symmetrize(f).coeffs
+    assert np.max(np.abs(s - _permutation_average(f))) <= 1e-14 * np.max(np.abs(f.coeffs))
+    # each orbit gets one value, so every transposition inside a block is exact
+    for lo, hi in ((0, p), (p, p + q)):
+        for a, b in combinations(range(lo, hi), 2):
+            assert np.array_equal(np.swapaxes(s, a, b), s)
+
+
+def test_symmetrize_scalar_and_one_point_space_pass_through():
+    scalar = Kernel.scalar(SpaceSpec.orthonormal(3), 2.5 - 1.0j)
+    assert symmetrize(scalar) is scalar
+    f = Kernel(SpaceSpec(1, weights=np.array([0.7])), 3, 2, [1.5 + 2.0j])
+    s = symmetrize(f)
+    assert s.symmetric
+    assert np.array_equal(s.coeffs, f.coeffs)
+
+
+def test_symmetrize_first_call_memory_bounded():
+    # a raw (20,0) kernel at n = 2 holds 2^20 entries (16 MiB); the orbit table
+    # is built from one-byte digits, so the first call stays below 5 x 16 MiB
+    rng = np.random.default_rng(20)
+    f = Kernel(SpaceSpec.orthonormal(2), 20, 0, rng.standard_normal(1 << 20) + 0.0j)
+    space._orbit_table.cache_clear()
+    tracemalloc.start()
+    try:
+        s = symmetrize(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 16 * 2 ** 20
+    assert np.array_equal(np.swapaxes(s.coeffs, 0, 19), s.coeffs)
+    assert abs(s.coeffs.sum() - f.coeffs.sum()) <= 1e-9 * np.abs(f.coeffs).sum()
+
+
+def test_cached_tables_and_weight_products_read_only(rng):
+    space._orbit_table.cache_clear()
+    symmetrize(random_kernel(rng, random_space(rng, 3), 3, 2, symmetric=False))
+    assert space._orbit_table.cache_info().currsize == 2
+    for k in (2, 3):
+        assert not any(arr.flags.writeable for arr in space._orbit_table(3, k))
+    sp = random_space(rng, 3, weighted=True)
+    norm_sq(random_kernel(rng, sp, 2, 1))
+    for r in range(4):
+        prod_r = sp._weight_product(r)
+        assert not prod_r.flags.writeable
+        expected = [math.prod(sp.weights[list(idx)]) for idx in product(range(3), repeat=r)]
+        assert np.allclose(prod_r, expected, rtol=1e-15, atol=0.0)
+    assert SpaceSpec.orthonormal(3)._weight_product(2) is None
+
+
+def test_symmetrize_threads_build_one_new_table(rng):
+    space._orbit_table.cache_clear()
+    f = random_kernel(rng, random_space(rng, 4, weighted=True), 6, 2, symmetric=False)
+    start = threading.Barrier(4)
+
+    def run():
+        start.wait()
+        return symmetrize(f).coeffs
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        outs = [fut.result() for fut in [pool.submit(run) for _ in range(4)]]
+    assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+
+
 # -- reverse conjugate --------------------------------------------------------------------
 
 
@@ -263,6 +349,41 @@ def test_contract_matches_reference(rng, shapes):
             ref = contract_reference(f, g, i, j)
             assert got.p == a + c - i - j and got.q == b + d - i - j
             assert np.allclose(got.coeffs, ref.coeffs, atol=1e-12)
+
+
+#: every block order with p + q <= 3, the scalar (0,0) included
+SMALL_ORDERS = [(p, total - p) for total in range(4) for p in range(total, -1, -1)]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("f_order", SMALL_ORDERS)
+def test_contract_sweep_matches_reference(rng, f_order, weighted):
+    # raw kernels at n = 3 against every order with p + q <= 3 and every legal
+    # (i, j), from the tensor product (0,0) to full contractions to a scalar,
+    # so the slot convention stays pinned
+    a, b = f_order
+    sp = random_space(rng, 3, weighted=weighted)
+    f = random_kernel(rng, sp, a, b, symmetric=False)
+    for c, d in SMALL_ORDERS:
+        g = random_kernel(rng, sp, c, d, symmetric=False)
+        scale = norm(f) * norm(g)
+        for i in range(min(a, d) + 1):
+            for j in range(min(b, c) + 1):
+                got = contract(f, g, i, j)
+                ref = contract_reference(f, g, i, j)
+                assert (got.p, got.q) == (ref.p, ref.q)
+                assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p, q", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 2), (2, 2), (0, 4)])
+def test_inner_product_matches_weighted_sum(rng, p, q, weighted):
+    sp = random_space(rng, 3, weighted=weighted)
+    f = random_kernel(rng, sp, p, q, symmetric=False)
+    g = random_kernel(rng, sp, p, q, symmetric=False)
+    ref = sum(f.coeffs[idx] * np.conj(g.coeffs[idx]) * math.prod(sp.weights[list(idx)])
+              for idx in product(range(3), repeat=p + q))
+    assert abs(inner_product(f, g) - ref) <= 1e-13 * norm(f) * norm(g)
 
 
 def test_contract_tensor_product_norm(rng):
