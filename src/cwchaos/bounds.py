@@ -27,6 +27,7 @@ from .chaos import (
     ChaosVariable,
     ChaosVector,
     _cov_groups,
+    _direct_table,
     _gap_terms,
     _second_moments,
     conjugate,
@@ -34,8 +35,7 @@ from .chaos import (
     pairing_expectation,
     third_moments_closed,
 )
-from .space import (InputError, Kernel, SpaceError, contract, norm, norm_sq,
-                    reverse_conjugate, symmetrize)
+from .space import InputError, Kernel, SpaceError, norm_sq, symmetrize
 
 __all__ = [
     "NonCircularError",
@@ -87,15 +87,13 @@ def _check_nonsingular(lambda_min: float, lambda_max: float) -> None:
 
 def fmt_norms(f: Kernel) -> dict[tuple[int, int], float]:
     """Table (i, j) -> ||f (x)_{i,j} h|| over the direct group of the gap expansion
-    (``chaos._gap_terms``: 0 < i + j < p + q), with h the reverse conjugate of f.
+    (``chaos._gap_terms``: 0 < i + j < p + q), with h the reverse conjugate of f;
+    the square roots of the kernel's table, which route "v1" reads too.
 
     All entries tending to zero along a sequence is the contraction condition
     certifying asymptotic normality; the table is empty for p + q = 1.
     """
-    f = symmetrize(f)
-    h = reverse_conjugate(f)
-    direct, _ = _gap_terms(f.p, f.q, f.p, f.q)
-    return {(i, j): norm(contract(f, h, i, j)) for (i, j) in direct}
+    return {key: sqrt(v) for key, v in _direct_table(symmetrize(f)).items()}
 
 
 def contraction_sum_sq(f: Kernel) -> float:

@@ -25,7 +25,7 @@ each sum once: ``multiply`` per output order, ``_cov_groups`` per phi_r group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb, factorial, isfinite, isnan, nan
 
 import numpy as np
@@ -227,9 +227,12 @@ def moment(F: ChaosVariable, k: int, l: int) -> complex:
 def third_moments_closed(f: Kernel) -> tuple[complex, complex]:
     """(E[F^3], E[F^2 conj(F)]) for F = I_{p,q}(f), via the closed contraction sums.
 
-    Both vanish identically unless p = q.
+    Both vanish identically unless p = q.  Formed once per kernel.
     """
-    f = symmetrize(f)
+    return symmetrize(f)._cached("third", _third_moments)
+
+
+def _third_moments(f: Kernel) -> tuple[complex, complex]:
     p, q = f.p, f.q
     if p != q:
         return 0.0 + 0.0j, 0.0 + 0.0j
@@ -282,6 +285,7 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
     raise InputError(f"unknown route {route!r}")
 
 
+@lru_cache(maxsize=128)
 def _gap_terms(p1: int, q1: int, p2: int, q2: int):
     """Coefficient schedule (direct, groups) of the contraction expansion
 
@@ -292,7 +296,7 @@ def _gap_terms(p1: int, q1: int, p2: int, q2: int):
     for F_k = I_{p_k,q_k}(f_k) and h_2 the reverse conjugate of f_2, with
     groups[r] = (w_r, {(i, j): c_ij}) the phi_r groups.  Integer coefficients,
     keyed in summation order; the contraction calculus of Nourdin and Peccati,
-    Normal Approximations with Malliavin Calculus (2012).
+    Normal Approximations with Malliavin Calculus (2012).  Cached: read only.
     """
     fac = factorial(p1) * factorial(q1) * factorial(p2) * factorial(q2)
     l = min(p1, p2) + min(q1, q2)
@@ -313,18 +317,39 @@ def _gap_terms(p1: int, q1: int, p2: int, q2: int):
     return direct, groups
 
 
+def _direct_norms(f1: Kernel, f2: Kernel) -> dict[tuple[int, int], float]:
+    """{(k, k'): ||f_1 (x)_{k,k'} h_2||^2} over the direct group of
+    :func:`_gap_terms`, h_2 the reverse conjugate of f_2."""
+    h2 = reverse_conjugate(f2)
+    direct, _ = _gap_terms(f1.p, f1.q, f2.p, f2.q)
+    return {key: norm_sq(contract(f1, h2, *key)) for key in direct}
+
+
+def _direct_table(f: Kernel) -> dict[tuple[int, int], float]:
+    """The table {(i, j): ||f (x)_{i,j} h||^2} of a symmetric f, h its reverse
+    conjugate, formed once per kernel; read only, by route "v1" and ``fmt_norms``."""
+    return f._cached("direct", lambda f: _direct_norms(f, f))
+
+
 def _cov_groups(f1: Kernel, f2: Kernel) -> float:
     """Cov(|F_1|^2, |F_2|^2) - |E F_1 conj(F_2)|^2 - |E F_1 F_2|^2 for symmetric
     kernels on one space: the schedule of :func:`_gap_terms`, evaluated.
 
     At f_1 = f_2 = f this is the fourth-moment gap of I_{p,q}(f), summed term
     by term, so it stays accurate when the gap is small against (E|F|^2)^2.
+    When f_1 is f_2 (route "v1") it is formed once per kernel, from the kernel's
+    ``_direct_table``; routes "v2" and "moments" share nothing with it.
     """
+    if f1 is f2:
+        return f1._cached("v1", lambda f: _cov_sum(f, f, _direct_table(f)))
+    return _cov_sum(f1, f2, _direct_norms(f1, f2))
+
+
+def _cov_sum(f1: Kernel, f2: Kernel, table: dict[tuple[int, int], float]) -> float:
     direct, groups = _gap_terms(f1.p, f1.q, f2.p, f2.q)
-    h2 = reverse_conjugate(f2)
     total = 0.0
-    for (k, kp), coef in direct.items():
-        total += coef * norm_sq(contract(f1, h2, k, kp))
+    for key, coef in direct.items():
+        total += coef * table[key]
     for w, coefs in groups.values():
         phi = reduce(Kernel.__add__, (contract(f1, f2, i, j) * c for (i, j), c in coefs.items()))
         total += w * norm_sq(symmetrize(phi))

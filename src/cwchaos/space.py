@@ -21,6 +21,9 @@ Conventions:
   free), with the contracted side weighted once.
 
 Kernels are immutable after construction and safe to share across threads.
+Each keeps a private memo of what is derived from it for as long as it lives:
+a raw kernel keeps its symmetrization alive, a symmetric one its contraction
+table, v1 gap and third moments (``chaos``).  New kernels start with none.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ class Kernel:
     flags invariance under permutations within each block.
     """
 
-    __slots__ = ("space", "p", "q", "coeffs", "symmetric")
+    __slots__ = ("space", "p", "q", "coeffs", "symmetric", "_memo")
 
     def __init__(self, space: SpaceSpec, p: int, q: int, coeffs, symmetric: bool = False):
         if p < 0 or q < 0:
@@ -167,6 +170,7 @@ class Kernel:
         self.q = q
         self.coeffs = arr
         self.symmetric = bool(symmetric) or (p <= 1 and q <= 1)
+        self._memo = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -180,7 +184,14 @@ class Kernel:
         kern = cls.__new__(cls)
         kern.space, kern.p, kern.q, kern.coeffs = space, p, q, arr
         kern.symmetric = bool(symmetric) or (p <= 1 and q <= 1)
+        kern._memo = {}
         return kern
+
+    def _cached(self, key: str, build):
+        """``build(self)``, formed once and kept in the memo under ``key``.  Racing
+        threads may each build it; all of them return the first value stored."""
+        value = self._memo.get(key)
+        return self._memo.setdefault(key, build(self)) if value is None else value
 
     @classmethod
     def zeros(cls, space: SpaceSpec, p: int, q: int) -> "Kernel":
@@ -317,10 +328,13 @@ def symmetrize(f: Kernel) -> Kernel:
     Views the coefficients as an (n^p, n^q) matrix, sums each orbit of each
     block along its axis, divides by the orbit sizes and gathers the averages
     back: a fixed number of passes at any block size, and every member of an
-    orbit gets the same value, so the output is exactly symmetric.
+    orbit gets the same value, so the output is exactly symmetric.  A raw
+    kernel keeps its symmetrization, so every call returns the same object.
     """
-    if f.symmetric:
-        return f
+    return f if f.symmetric else f._cached("sym", _symmetrize)
+
+
+def _symmetrize(f: Kernel) -> Kernel:
     n, p, q = f.space.n, f.p, f.q
     tables = [(axis, _orbit_table(n, k) if n ** k <= _ORBIT_CACHE_ENTRIES
                else _orbit_table.__wrapped__(n, k))
@@ -342,6 +356,22 @@ def reverse_conjugate(f: Kernel) -> Kernel:
                         symmetric=f.symmetric)
 
 
+@lru_cache(maxsize=256)
+def _contract_plan(n: int, a: int, b: int, c: int, d: int, i: int, j: int):
+    """``contract``'s layout for f of blocks (a, b) and g of blocks (c, d): the axis
+    orders and matrix shapes of f as (free, contracted) and g as (contracted, free),
+    the product's shape, and its transpose to holomorphic-first (None if identity)."""
+    fh, fa, gh, ga = a - i, b - j, c - j, d - i
+    # f: [holo free, anti free, last i holo, last j anti]; g: [last i anti,
+    # last j holo, holo free, anti free]; product: [f holo, f anti, g holo, g anti]
+    f_axes = (*range(fh), *range(a, a + fa), *range(fh, a), *range(a + fa, a + b))
+    g_axes = (*range(c + ga, c + d), *range(gh, c), *range(gh), *range(c, c + ga))
+    m, k = fh + fa, n ** (i + j)
+    order = (*range(fh), *range(m, m + gh), *range(fh, m), *range(m + gh, m + gh + ga))
+    return (f_axes, (n ** m, k), g_axes, (k, n ** (gh + ga)), (n,) * len(order),
+            None if order == tuple(range(len(order))) else order)
+
+
 def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     """(i, j)-contraction: pair the last i holomorphic slots of f with the last i
     antiholomorphic slots of g, and the last j antiholomorphic slots of f with the
@@ -351,7 +381,8 @@ def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     is the plain tensor product.  Raises SpaceError, before any array is formed,
     when the output would have more than ``ENTRY_CAP`` entries.  Computed as one
     ``np.matmul`` of f as an (n^free, n^(i+j)) matrix, weighted once by the flat
-    product of its i + j contracted weights, by g as an (n^(i+j), n^free) matrix.
+    product of its i + j contracted weights, by g as an (n^(i+j), n^free) matrix,
+    with the axis orders and shapes of each block-order case planned once.
     """
     if not f.space.same_as(g.space):
         raise SpaceError("kernels live on different spaces")
@@ -364,28 +395,14 @@ def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     size = f.space.n ** (a + b + c + d - 2 * (i + j))
     if size > ENTRY_CAP:
         raise SpaceError(f"contraction output needs {size} entries, above the cap {ENTRY_CAP}")
-    n = f.space.n
-    fh, fa, gh, ga = a - i, b - j, c - j, d - i
-    # f, with one weight per contracted slot, as (free, contracted): [holo
-    # free, anti free, last i holo, last j anti]; g as (contracted, free):
-    # [last i anti, last j holo, holo free, anti free]
-    fw = _apply_weights(f.coeffs, f.space, [*range(fh, a), *range(a + fa, a + b)])
-    ft = np.transpose(fw, [*range(fh), *range(a, a + fa), *range(fh, a), *range(a + fa, a + b)])
-    gt = np.transpose(g.coeffs, [*range(c + ga, c + d), *range(gh, c), *range(gh),
-                                 *range(c, c + ga)])
-    out = np.matmul(ft.reshape(n ** (fh + fa), -1), gt.reshape(n ** (i + j), -1))
-
-    # product layout: [f holo free, f anti free, g holo free, g anti free];
-    # target layout groups the two holomorphic blocks first.
-    out = out.reshape((n,) * (fh + fa + gh + ga))
-    order = (
-        list(range(0, fh))
-        + list(range(fh + fa, fh + fa + gh))
-        + list(range(fh, fh + fa))
-        + list(range(fh + fa + gh, fh + fa + gh + ga))
-    )
-    out = np.ascontiguousarray(np.transpose(out, order)) if order else out
-    return Kernel._wrap(f.space, fh + gh, fa + ga, out)
+    f_axes, f_shape, g_axes, g_shape, shape, order = _contract_plan(f.space.n, a, b, c, d, i, j)
+    ft = f.coeffs.transpose(f_axes).reshape(f_shape)
+    if i + j and not f.space._unit:
+        ft = ft * f.space._weight_product(i + j)
+    out = np.matmul(ft, g.coeffs.transpose(g_axes).reshape(g_shape)).reshape(shape)
+    if order is not None:
+        out = np.ascontiguousarray(out.transpose(order))
+    return Kernel._wrap(f.space, a + c - i - j, b + d - i - j, out)
 
 
 def sym_contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:

@@ -4,6 +4,7 @@ oracles for the fast paths."""
 from __future__ import annotations
 
 import itertools
+import sys
 from math import factorial, sqrt
 
 import numpy as np
@@ -35,6 +36,21 @@ def random_kernel(rng, space: SpaceSpec, p: int, q: int, symmetric: bool = True)
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     kern = Kernel(space, p, q, arr)
     return symmetrize(kern) if symmetric else kern
+
+
+def count_contractions(monkeypatch) -> list[int]:
+    """Wrap ``contract`` under every name a cwchaos module binds it to; the
+    returned one-element list counts the calls."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return contract(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cwchaos") and getattr(module, "contract", None) is contract:
+            monkeypatch.setattr(module, "contract", counted)
+    return calls
 
 
 def random_space(rng, n: int, weighted: bool = False) -> SpaceSpec:

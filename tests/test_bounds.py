@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from math import sqrt
 
 import numpy as np
@@ -30,13 +34,15 @@ from cwchaos.chaos import (
     ChaosVector,
     conjugate,
     fourth_gap,
+    moment_report,
     multiply,
     pairing_expectation,
     product_expectation,
+    third_moments_closed,
 )
-from cwchaos.space import Kernel, SpaceError, SpaceSpec
+from cwchaos.space import Kernel, SpaceError, SpaceSpec, symmetrize
 
-from conftest import cross_terms_reference, random_kernel, random_space
+from conftest import count_contractions, cross_terms_reference, random_kernel, random_space
 
 
 @pytest.fixture
@@ -290,12 +296,81 @@ def test_multivariate_contracts_and_conjugates_each_kernel_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((space, "contract"), (chaos, "contract"), (bounds, "contract"),
+    for module, name in ((space, "contract"), (chaos, "contract"),
                          (chaos, "conjugate"), (bounds, "conjugate")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     be_upper_multivariate(F)
-    assert calls["contract"] <= 29
+    assert calls["contract"] <= 22  # fmt_norms reads the tables of the diagonal brackets
     assert calls["conjugate"] <= 4
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (2, 2), (3, 1)])
+def test_kernel_report_contracts_only_in_moment_report(monkeypatch, p, q):
+    # the bound, the table and the lower terms read what moment_report formed
+    # on the kernel (its symmetrization's table, v1 gap and third moments)
+    rng = np.random.default_rng(21)
+    sp = random_space(rng, 4 if p + q < 4 else 3, weighted=True)
+    coeffs = random_kernel(rng, sp, p, q, symmetric=False).coeffs
+    calls = count_contractions(monkeypatch)
+    moment_report(Kernel(sp, p, q, coeffs))
+    alone = calls[0]
+    f = Kernel(sp, p, q, coeffs)
+    for reader in (moment_report, be_upper, fmt_norms, be_lower_terms):
+        reader(f)
+    assert alone > 0 and calls[0] == 2 * alone
+
+
+def test_kernel_memo_threads_match_one_thread(rng):
+    # four threads race to fill one fresh raw kernel's memos, each calling
+    # the three readers in its own order
+    sp = random_space(rng, 4, weighted=True)
+    coeffs = random_kernel(rng, sp, 2, 2, symmetric=False).coeffs
+    readers = [fmt_norms, lambda f: fourth_gap(f, "v1"), be_upper]
+
+    def report(f, first=0):
+        order = list(range(first, 3)) + list(range(first))
+        out = {k: readers[k](f) for k in order}
+        return repr([out[k] for k in range(3)])
+
+    expected = report(Kernel(sp, 2, 2, coeffs))
+    shared = Kernel(sp, 2, 2, coeffs)
+    start = threading.Barrier(4)
+
+    def run(first):
+        start.wait(timeout=60)
+        return report(shared, first % 3), symmetrize(shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outs = [fut.result(timeout=60) for fut in [pool.submit(run, k) for k in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [out for out, _ in outs] == [expected] * 4
+    # every thread got the symmetrization stored first, whose memo they filled
+    assert all(sym is shared._memo["sym"] for _, sym in outs)
+
+
+def test_raw_kernel_memo_keeps_one_array(rng):
+    # what the readers cache beside the kernel (orbit tables, contraction
+    # plans, weight products) is built first, on another kernel of the shape;
+    # afterwards the raw kernel keeps its symmetrization and a few floats
+    sp = random_space(rng, 8, weighted=True)
+
+    def report(f):
+        return fmt_norms(f), be_upper(f), be_lower_terms(f), third_moments_closed(f)
+
+    report(random_kernel(rng, sp, 2, 2, symmetric=False))
+    f = random_kernel(rng, sp, 2, 2, symmetric=False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report(f)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert f.coeffs.nbytes <= kept < 1.25 * f.coeffs.nbytes
 
 
 # orders with p + q <= 4 whose chaos variables are circular (p != q)

@@ -19,7 +19,7 @@ from cwchaos.chaos import ChaosVariable, chaos_to_json
 from cwchaos.cli import main
 from cwchaos.space import Kernel, SpaceSpec, kernel_to_json, save_kernel
 
-from conftest import random_kernel, random_space
+from conftest import count_contractions, random_kernel, random_space
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -123,6 +123,18 @@ def test_closed_routes_cap_contractions(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(space.np, "matmul", lambda *a, **k: pytest.fail("contracted past the cap"))
     assert main(["bound", "--kernel", str(path)]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_bound_forms_each_contraction_once(tmp_path, monkeypatch):
+    # a (2,2) kernel has 17 distinct contractions: 7 in its table, 7 in the
+    # phi_r groups of v1 and 3 in its third moments
+    rng = np.random.default_rng(17)
+    path = tmp_path / "k22.json"
+    save_kernel(random_kernel(rng, random_space(rng, 6, weighted=True), 2, 2, symmetric=False),
+                path)
+    calls = count_contractions(monkeypatch)
+    assert main(["bound", "--kernel", str(path), "-o", str(tmp_path / "bound.json")]) == 0
+    assert calls[0] <= 17
 
 
 def test_moments_nan_kernel(tmp_path, monkeypatch):

@@ -280,6 +280,27 @@ def test_symmetrize_threads_build_one_new_table(rng):
     assert all(np.array_equal(out, outs[0]) for out in outs[1:])
 
 
+def test_symmetrize_keeps_one_symmetrization(rng):
+    sp = random_space(rng, 3, weighted=True)
+    f = random_kernel(rng, sp, 2, 1, symmetric=False)
+    s = symmetrize(f)
+    assert symmetrize(f) is s and symmetrize(s) is s and f._memo == {"sym": s}
+    # the memo belongs to the object: equal coefficients get their own
+    assert symmetrize(Kernel(sp, 2, 1, f.coeffs)) is not s
+
+
+def test_new_kernels_start_with_empty_memos(rng):
+    sp = random_space(rng, 3, weighted=True)
+    raw = random_kernel(rng, sp, 2, 1, symmetric=False)
+    f = symmetrize(raw)
+    f._cached("probe", lambda k: 1.0)
+    made = [f + f, raw + raw, f * 2.0, 2.0 * raw, reverse_conjugate(f), reverse_conjugate(raw),
+            contract(f, f, 1, 0), contract(raw, f, 0, 0), symmetrize(raw + raw),
+            Kernel(sp, 2, 1, f.coeffs), Kernel.zeros(sp, 2, 1), Kernel.basis(sp, (0,), (1,))]
+    assert all(kern._memo == {} for kern in made)
+    assert f._memo == {"probe": 1.0} and raw._memo == {"sym": f}
+
+
 # -- reverse conjugate --------------------------------------------------------------------
 
 
@@ -373,6 +394,27 @@ def test_contract_sweep_matches_reference(rng, f_order, weighted):
                 ref = contract_reference(f, g, i, j)
                 assert (got.p, got.q) == (ref.p, ref.q)
                 assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_contract_plans_keyed_by_size_orders_and_pairing(rng, weighted):
+    # every plan is built here, each call made twice with n = 2 and n = 3
+    # alternating, so a plan cached under a key that misses n, an order or
+    # (i, j) is read for the wrong case and fails
+    space._contract_plan.cache_clear()
+    spaces = [random_space(rng, n, weighted=weighted) for n in (2, 3)]
+    for (a, b), (c, d) in product(SMALL_ORDERS, repeat=2):
+        pairs = [(random_kernel(rng, sp, a, b, symmetric=False),
+                  random_kernel(rng, sp, c, d, symmetric=False)) for sp in spaces]
+        for i in range(min(a, d) + 1):
+            for j in range(min(b, c) + 1):
+                refs = [contract_reference(f, g, i, j) for f, g in pairs]
+                for _ in range(2):
+                    for (f, g), ref in zip(pairs, refs):
+                        got = contract(f, g, i, j)
+                        assert (got.p, got.q) == (ref.p, ref.q)
+                        assert (np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0)
+                                <= 1e-13 * norm(f) * norm(g))
 
 
 @pytest.mark.parametrize("weighted", [False, True])
