@@ -18,14 +18,16 @@ circulant embedding and FFT, without forming it.  Its sweep whitens the
 kernel: with G = L L^T (Cholesky), A = L^T K L on the orthonormal space has
 every inner product and contraction that K has under G, and each row field is
 a Frobenius sum over A, A A and A^H A.  One walk, ``_triangle_rows``, applies K to
-columns: to a block of draws in the sampler, and to L in the whitening.
+columns: to a block of draws in the sampler, and to L in the whitening.  It goes
+down the rows in blocks (``_ar1_rows``): a closed form with one ``cumsum`` on
+narrow inputs, one plain AR(1) step per row on wide ones.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from math import exp, factorial, isfinite, log, sqrt
+from math import exp, factorial, inf, isfinite, log, sqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -433,12 +435,12 @@ def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:
     ``RateRow``.  The generic routes on the dense L^T K L are the test suite's oracle."""
     L = np.linalg.cholesky(fbm_gram(params, grid))
     KL = np.zeros((grid.m, grid.m), dtype=complex)
-    for i, row in enumerate(_triangle_rows(params, grid.m, L), start=1):
-        KL[i] = np.conj(row) / sqrt(params.T)
+    for lo, rows in _triangle_rows(params, grid.m, L):
+        KL[1 + lo:1 + lo + len(rows)] = np.conj(rows) / sqrt(params.T)
     A = np.empty_like(KL)
     A.real = L.T @ KL.real         # L is real: one real product per part
     A.imag = L.T @ KL.imag
-    del L, KL, row                 # freed before P and Q; a live row would pin the heap top
+    del L, KL, rows                # freed before P and Q; a live block would pin the heap top
     P = A @ A
     Q = A.conj().T @ A
     var = float(np.vdot(A, A).real)
@@ -457,27 +459,73 @@ def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:
 # -- exact-in-law sampling of the numerator statistic -----------------------------------
 
 
-def _ar1_rows(a, x):
-    """Rows Y_1, Y_2, ... of the AR(1) recursion Y_0 = 0, Y_{k+1} = a Y_k + x_k,
-    walking the rows of x (an array or any iterable) one at a time, so a caller
-    that reduces as it goes never holds all of Y."""
+_WALK_ROWS = 64                        # rows per closed-form block of ``_ar1_rows``
+_WALK_ENTRIES = 4096                   # entries per closed-form block
+_WALK_WIDE = 256                       # from this width on, row adds beat cumsum
+
+
+def _ar1_rows(a, x, gain=1.0):
+    """Blocks (lo, Y[lo:hi]) of the rows Y_1, ..., Y_n of the AR(1) recursion
+    Y_0 = 0, Y_{k+1} = a Y_k + gain x_k down the rows of the array x, where row
+    lo of Y is Y_{lo+1}; a caller that reduces block by block never holds all
+    of Y.  The blocks are the walk's state: a caller must not write into them.
+
+    A block of r > 1 rows is the closed form Y_{s+i+1} = a^(i+1) (Y_s +
+    sum_{j<=i} gain a^-(j+1) x_{s+j}), one prefix sum (a blocked scan in the
+    style of Blelloch's prefix sums): a ``cumsum``, or from 256 columns on, where
+    numpy's cumsum down the rows is the slower, r - 1 row adds in the same order.
+    r = min(64, 4096 // width, 64 / (lam dt)) with lam dt = -ln|a|, so a block
+    holds at most 4096 entries and |a|^-r stays below e^64.  r = 1 is the plain
+    step a y + gain x_k, bitwise the sequential walk; it is all that runs at 4096
+    or more columns, or where a underflows to 0.
+    """
+    n = x.shape[0]
+    width = int(np.prod(x.shape[1:]))
+    rows = min(_WALK_ROWS, max(1, _WALK_ENTRIES // width))
+    mod = abs(a)
+    lam_dt = -log(mod) if mod > 0 else inf
+    if lam_dt * rows > 64.0:                  # |a|^-rows would pass e^64
+        rows = max(1, int(64.0 / lam_dt))
     y = 0.0
-    for row in x:
-        y = a * y + row
-        yield y
+    if rows == 1:
+        for lo in range(n):
+            y = a * y + gain * x[lo]
+            yield lo, y[None]
+        return
+    up = (a ** np.arange(1, rows + 1)).reshape((rows,) + (1,) * (x.ndim - 1))
+    down = gain / up
+    for lo in range(0, n, rows):
+        r = min(rows, n - lo)
+        block = down[:r] * x[lo:lo + r]
+        if width >= _WALK_WIDE:
+            for i in range(1, r):
+                block[i] += block[i - 1]
+        else:
+            np.cumsum(block, axis=0, out=block)
+        block += y
+        block *= up[:r]
+        y = block[-1]
+        yield lo, block
 
 
 def _triangle_rows(params: OUParams, m: int, x):
-    """Rows 1..m-1 of conj(sqrt(T) K) x (row 0 is zero), K = ``numerator_kernel`` on m
-    nodes, one row of x at a time: the ``_ar1_rows`` walk sum_{j<i} e^(-gamma (t_i - t_j)) x_j
-    plus, at H = 1/2, the band (beta - 1) e^(-gamma dt) x_{i-1}, coarse-grid checked at the call."""
+    """Blocks (lo, rows) of rows 1..m-1 of conj(sqrt(T) K) x (row 0 is zero), K =
+    ``numerator_kernel`` on m nodes, row lo of the result first: the ``_ar1_rows``
+    walk sum_{j<i} e^(-gamma (t_i - t_j)) x_j plus, at H = 1/2, the band
+    (beta - 1) e^(-gamma dt) x_{i-1}, coarse-grid checked at the call."""
     dt = params.T / m
     a = np.exp(-params.gamma * dt)
-    walk = _ar1_rows(a, (a * row for row in x[:-1]))
+    walk = _ar1_rows(a, x[:-1], gain=a)
     if params.H != 0.5:
         return walk
     band = (_subdiagonal_factor(params.lam, dt) - 1.0) * a
-    return (w + band * prev for w, prev in zip(walk, x))
+    return ((lo, rows + band * x[lo:lo + len(rows)]) for lo, rows in walk)
+
+
+def _row_sum(block: np.ndarray) -> np.ndarray:
+    """Sum over the rows of a walk block; a one-row block gives its row, since
+    ``sum(axis=0)`` would copy it."""
+    return block[0] if len(block) == 1 else block.sum(axis=0)
 
 
 def _check_draws(m: int, cols: int) -> None:
@@ -532,8 +580,8 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> Sam
         lo, hi = ib * block, min((ib + 1) * block, N)
         Z = _complex_normal(_block_rng(seed, ib), (m, hi - lo))
         acc = np.zeros(hi - lo, dtype=complex)
-        for z, row in zip(Z[1:], _triangle_rows(params, m, Z)):
-            acc += z * np.conj(row)
+        for k, rows in _triangle_rows(params, m, Z):
+            acc += _row_sum(Z[1 + k:1 + k + len(rows)] * np.conj(rows))
         values[lo:hi] = scale * acc
 
     # imported here: concurrent.futures loads logging, which would add about
@@ -570,8 +618,12 @@ def simulate_path(params: OUParams, grid: GridSpec, seed: int, n_paths: int = 1)
     dt = params.T / m
     a = np.exp(-params.gamma * dt)
     sd = sqrt((1.0 - exp(-2.0 * params.lam * dt)) / (2.0 * params.lam))
-    eps = sd * _complex_normal(_block_rng(seed, 0), (m, n_paths))
-    Z = np.array([np.zeros_like(eps[0]), *_ar1_rows(a, eps)])
+    eps = _complex_normal(_block_rng(seed, 0), (m, n_paths))
+    eps *= sd
+    Z = np.empty((m + 1, n_paths), dtype=complex)
+    Z[0] = 0.0
+    for lo, rows in _ar1_rows(a, eps):
+        Z[1 + lo:1 + lo + len(rows)] = rows
     if n_paths == 1:
         return Z[:, 0], eps[:, 0]
     return Z, eps
@@ -609,9 +661,10 @@ def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
     at the left endpoints, Z_k = sum_{j<k} e^(-gamma (t_k - t_j)) dz_j, and F_T is
     the strict off-diagonal double Wiener sum built from it,
     F_T = sum_k dz_k conj(Z_k) / sqrt(T) (diagonal terms are Ito-correction
-    artifacts the continuous integral excludes).  The residual shrinks as the
-    grid refines.  An m x n_paths block of draws above ``space.ENTRY_CAP``
-    entries raises SpaceError before any draw.
+    artifacts the continuous integral excludes).  F_T and the time average
+    accumulate block by block along the ``_ar1_rows`` walk, so the path is never
+    held whole.  The residual shrinks as the grid refines.  An m x n_paths block
+    of draws above ``space.ENTRY_CAP`` entries raises SpaceError before any draw.
     """
     if params.H != 0.5:
         raise InputError("the identity check is implemented for the H = 1/2 branch")
@@ -622,19 +675,25 @@ def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
     T = params.T
     lam = params.lam
     dt = T / m
-    dz = sqrt(dt) * _complex_normal(_block_rng(seed, 0), (m, n_paths))
+    dz = _complex_normal(_block_rng(seed, 0), (m, n_paths))
+    dz *= sqrt(dt)
 
     a = np.exp(-params.gamma * dt)
-    # Z_{k+1} = a (Z_k + dz_k); row m is the terminal value
-    Z = np.array([np.zeros_like(dz[0]), *_ar1_rows(a, a * dz)])
-    F = np.sum(dz * np.conj(Z[:-1]), axis=0) / sqrt(T)
-
-    lhs = dt / T * np.sum(np.abs(Z[:-1]) ** 2, axis=0)
+    # Z_{k+1} = a (Z_k + dz_k): the walk gives Z_1..Z_{m-1}, paired with dz_1..dz_{m-1}
+    # (Z_0 = 0 adds nothing), and one more step the terminal value Z_m
+    F = np.zeros(n_paths, dtype=complex)
+    sq = np.zeros(n_paths)
+    for lo, rows in _ar1_rows(a, dz[:-1], gain=a):
+        F += _row_sum(dz[1 + lo:1 + lo + len(rows)] * np.conj(rows))
+        sq += _row_sum(rows.real**2 + rows.imag**2)
+    Z_T = a * rows[-1] + a * dz[-1]
+    F /= sqrt(T)
+    lhs = dt / T * sq
 
     var_T = (1.0 - exp(-2 * lam * T)) / (2 * lam)
     mean_part = abs_sq_mean_closed(params)
     rhs = (1.0 / (2 * lam)) * (2.0 * F.real / sqrt(T)
-                               - (np.abs(Z[-1]) ** 2 - var_T) / T) + mean_part
+                               - (np.abs(Z_T) ** 2 - var_T) / T) + mean_part
 
     resid = lhs - rhs
     scale = np.maximum(np.abs(lhs), 1e-12)

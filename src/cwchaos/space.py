@@ -267,7 +267,8 @@ def inner_product(f: Kernel, g: Kernel) -> complex:
     Conjugate-symmetric in its arguments; <f, f> is real and nonnegative.
     """
     f._check_peer(g)
-    fw = _apply_weights(f.coeffs, f.space, range(f.degree))
+    prod = f.space._weight_product(f.degree)
+    fw = f.coeffs if prod is None else f.coeffs * prod.reshape(f.coeffs.shape)
     return complex(np.vdot(g.coeffs, fw))
 
 

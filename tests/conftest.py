@@ -60,13 +60,36 @@ def random_space(rng, n: int, weighted: bool = False) -> SpaceSpec:
 
 
 def one_call_complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circular standard complex normals from one draw of the whole (2, *shape)
-    float array; the same-stream oracle for the sampler's in-place chunked fill."""
-    parts = rng.standard_normal((2, *shape))
+    """Circular standard complex normals from one draw of a (*shape, 2) float
+    array read as (real, imaginary) pairs, divided by sqrt(2); the same-stream
+    oracle for the sampler's fill of the float view of its complex output."""
+    parts = rng.standard_normal((*shape, 2))
     out = np.empty(shape, dtype=complex)
-    out.real, out.imag = parts
+    out.real, out.imag = parts[..., 0], parts[..., 1]
     out /= sqrt(2.0)
     return out
+
+
+def sequential_ar1_rows(a, x):
+    """Rows Y_1, Y_2, ... of the AR(1) recursion Y_0 = 0, Y_{k+1} = a Y_k + x_k,
+    walking the rows of x (an array or any iterable) one at a time, so a caller
+    that reduces as it goes never holds all of Y."""
+    y = 0.0
+    for row in x:
+        y = a * y + row
+        yield y
+
+
+def stack_blocks(blocks) -> np.ndarray:
+    """The (lo, rows) blocks of a blocked walk stacked into one array, after
+    checking that they tile it in order from row 0."""
+    parts = []
+    start = 0
+    for lo, rows in blocks:
+        assert lo == start
+        parts.append(rows)
+        start += len(rows)
+    return np.concatenate(parts)
 
 
 def separate_numerator_coeffs(params, grid) -> np.ndarray:

@@ -54,6 +54,8 @@ from conftest import (
     generic_whitened_row,
     separate_numerator_coeffs,
     separate_occupation_coeffs,
+    sequential_ar1_rows,
+    stack_blocks,
     whitened_kernel,
 )
 
@@ -552,10 +554,46 @@ def test_triangle_rows_apply_the_numerator_kernel(H, m):
     block = rng.standard_normal((m, 5)) + 1j * rng.standard_normal((m, 5))
     lower = np.tril(rng.standard_normal((m, m)))
     for x in (block, lower):
-        rows = np.array(list(_triangle_rows(p, m, x)))
+        rows = stack_blocks(_triangle_rows(p, m, x))
         assert rows.shape == (m - 1, x.shape[1])        # m = 2 has a single row
         want = (K @ np.conj(x))[1:]
         assert np.max(np.abs(np.conj(rows) / sqrt(p.T) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+WALK_LAM_DT = [1e-5, 1e-3, 1.0, 63.0, 65.0, 300.0, 800.0]     # 800: a underflows to 0
+
+
+@pytest.mark.parametrize("lam_dt", WALK_LAM_DT)
+@pytest.mark.parametrize("m", [2, 150])
+@pytest.mark.parametrize("width", [None, 1, 100, 300, 4095, 4096])
+def test_blocked_walk_matches_sequential(width, m, lam_dt):
+    # blocks of rows = min(64, 4096 // width, 64 / (lam dt)) tile Y in order;
+    # a one-row block is bitwise the sequential step, a closed-form block within
+    # 1e-13 of the largest |Y|; every value is finite and no warning is raised
+    a = np.exp(-(lam_dt + 0.3j))
+    assert (a == 0) == (lam_dt == 800.0)
+    shape = (m,) if width is None else (m, width)
+    rng = np.random.default_rng(m + (width or 0))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    decay = -np.log(abs(a)) if a != 0 else np.inf      # the rule reads lam dt off a
+    rows = max(1, min(64, 4096 // (width or 1), int(64 / decay)))
+    for gain in (1.0, a):
+        blocks = list(_ar1_rows(a, x, gain=gain))
+        assert [len(b) for _, b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        got = stack_blocks(blocks)
+        want = np.array(list(sequential_ar1_rows(a, (gain * row for row in x))))
+        assert got.shape == want.shape == shape
+        assert np.all(np.isfinite(got))
+        if rows == 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_denominator_identity_finite_where_the_step_underflows():
+    # lam dt = 1000: e^(-gamma dt) is 0, so every block is one plain step
+    rep = verify_denominator_identity(OUParams(lam=1.0, T=2000.0), GridSpec(m=2), seed=0)
+    assert all(np.isfinite(v) for v in asdict(rep).values())
 
 
 def test_whitened_row_memory_budget():
@@ -720,7 +758,7 @@ def test_simulate_path_recursion_and_zero_noise():
         recon[k + 1] = a * recon[k] + eps[k]
     assert np.allclose(Z, recon, atol=1e-12)
     # zero innovations propagate to the zero path
-    silent = np.array(list(_ar1_rows(a, np.zeros((g.m, 3), dtype=complex))))
+    silent = stack_blocks(_ar1_rows(a, np.zeros((g.m, 3), dtype=complex)))
     assert silent.shape == (g.m, 3)
     assert np.all(silent == 0.0)
 

@@ -428,6 +428,18 @@ def test_inner_product_matches_weighted_sum(rng, p, q, weighted):
     assert abs(inner_product(f, g) - ref) <= 1e-13 * norm(f) * norm(g)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p, q", [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)])
+def test_inner_product_bitwise_the_apply_weights_route(rng, p, q, weighted):
+    # one multiply by the cached weight product, or none at unit weights, is
+    # bit for bit the _apply_weights route
+    sp = random_space(rng, 4, weighted=weighted)
+    f = random_kernel(rng, sp, p, q, symmetric=False)
+    g = random_kernel(rng, sp, p, q, symmetric=False)
+    want = complex(np.vdot(g.coeffs, _apply_weights(f.coeffs, sp, range(p + q))))
+    assert inner_product(f, g) == want
+
+
 def test_contract_tensor_product_norm(rng):
     sp = random_space(rng, 3, weighted=True)
     f = random_kernel(rng, sp, 1, 1)
