@@ -18,8 +18,8 @@ engine, coded independently, and the contraction expansion of
 of f.  The expansion's coefficients are written once, in :func:`_gap_terms`,
 which also gives :mod:`cwchaos.bounds` its contraction table and sandwich
 constants.
-Symmetrization is linear, so the expansions contract raw kernels and symmetrize
-each sum once: ``multiply`` per output order, ``_cov_groups`` per phi_r group.
+Symmetrization is linear, so the expansions sum raw contractions; ``multiply``
+symmetrizes each sum, and the gap routes read its norm in orbit space.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .space import (
     SpaceError,
     SpaceSpec,
     _json_int,
+    _sym_norm_sq,
     contract,
     inner_product,
     kernel_from_json,
@@ -154,12 +155,14 @@ def _term_items(F: ChaosVariable):
     return items
 
 
-def multiply(F: ChaosVariable, G: ChaosVariable) -> ChaosVariable:
-    """Pointwise product as a chaos variable, via the contraction expansion.
+def _scaled(kern: Kernel, coef: int) -> Kernel:
+    """kern * coef, without the full-size copy when coef is 1 (x * 1 == x)."""
+    return kern if coef == 1 else kern * coef
 
-    Exact: every output term is kept, zeros included.  Each contraction raises
-    SpaceError before forming an array of more than ``space.ENTRY_CAP`` entries.
-    """
+
+def _product_sums(F: ChaosVariable, G: ChaosVariable):
+    """F G's contraction expansion before symmetrization, ({(p, q): raw sum}, constant);
+    each contraction raises SpaceError above ``space.ENTRY_CAP`` entries."""
     if not F.space.same_as(G.space):
         raise SpaceError("chaos variables live on different spaces")
     acc: dict[tuple[int, int], Kernel] = {}
@@ -170,12 +173,22 @@ def multiply(F: ChaosVariable, G: ChaosVariable) -> ChaosVariable:
                 for j in range(min(b, c) + 1):
                     coef = (comb(a, i) * comb(d, i) * comb(b, j) * comb(c, j)
                             * factorial(i) * factorial(j))
-                    kern = contract(f, g, i, j) * coef
+                    kern = _scaled(contract(f, g, i, j), coef)
                     key = (a + c - i - j, b + d - i - j)
                     if key == (0, 0):
                         const += complex(kern.coeffs)
                     else:
                         acc[key] = acc[key] + kern if key in acc else kern
+    return acc, const
+
+
+def multiply(F: ChaosVariable, G: ChaosVariable) -> ChaosVariable:
+    """Pointwise product as a chaos variable, via the contraction expansion.
+
+    Exact: every output term is kept, zeros included.  Each contraction raises
+    SpaceError before forming an array of more than ``space.ENTRY_CAP`` entries.
+    """
+    acc, const = _product_sums(F, G)
     return ChaosVariable(F.space, {key: symmetrize(k) for key, k in acc.items()}, const)
 
 
@@ -273,10 +286,10 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
             raise SpaceError(f"the moments route needs n^(2(p+q)) = {f.space.n ** (2 * l)}"
                              f" entries, above the cap {ENTRY_CAP}")
         F = ChaosVariable.from_kernel(f)
-        F2 = multiply(F, F)
-        e4 = pairing_expectation(F2, F2).real
+        acc, ef2 = _product_sums(F, F)
+        e4 = abs(ef2) ** 2 + sum(factorial(k) * factorial(kp) * _sym_norm_sq(g)
+                                 for (k, kp), g in acc.items())
         s2 = factorial(p) * factorial(q) * norm_sq(f)
-        ef2 = F2.constant
         return e4 - 2.0 * s2 ** 2 - abs(ef2) ** 2
     if route == "v1":
         return _cov_groups(f, f)
@@ -351,8 +364,8 @@ def _cov_sum(f1: Kernel, f2: Kernel, table: dict[tuple[int, int], float]) -> flo
     for key, coef in direct.items():
         total += coef * table[key]
     for w, coefs in groups.values():
-        phi = reduce(Kernel.__add__, (contract(f1, f2, i, j) * c for (i, j), c in coefs.items()))
-        total += w * norm_sq(symmetrize(phi))
+        phi = reduce(Kernel.__add__, (_scaled(contract(f1, f2, *ij), c) for ij, c in coefs.items()))
+        total += w * _sym_norm_sq(phi)
     return total
 
 

@@ -326,27 +326,54 @@ def _orbit_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 def symmetrize(f: Kernel) -> Kernel:
     """Average over permutations within the holomorphic and antiholomorphic blocks.
 
-    Views the coefficients as an (n^p, n^q) matrix, sums each orbit of each
-    block along its axis, divides by the orbit sizes and gathers the averages
-    back: a fixed number of passes at any block size, and every member of an
-    orbit gets the same value, so the output is exactly symmetric.  A raw
-    kernel keeps its symmetrization, so every call returns the same object.
+    Divides the orbit sums of ``_orbit_sums``, reduced along the last axis, by the
+    orbit sizes and gathers them back: every orbit member gets one value, so the
+    output is exactly symmetric (``_sym_norm_sq`` reads its norm in orbit space).
+    A raw kernel keeps its symmetrization, so every call returns the same object.
     """
     return f if f.symmetric else f._cached("sym", _symmetrize)
 
 
+def _orbit_sums(f: Kernel) -> tuple[np.ndarray, list]:
+    """(S, tables): S[a, b] sums f over orbit a of its holomorphic block and b of its
+    antiholomorphic one; tables has each block's ``_orbit_table`` (None if k <= 1).
+    Reduces each block along the last, contiguous axis, transposing in between."""
+    n = f.space.n
+    tables = [None if k < 2 else _orbit_table(n, k) if n ** k <= _ORBIT_CACHE_ENTRIES
+              else _orbit_table.__wrapped__(n, k) for k in (f.p, f.q)]
+    flip = f.p > f.q  # the longer block first: its pass leaves fewer sums
+    out = f.coeffs.reshape(n ** f.p, n ** f.q)
+    out = out.T if flip else out
+    for table in (tables if flip else tables[::-1]):
+        if table is not None:
+            out = np.add.reduceat(out.take(table[0], 1), table[1], 1)
+        out = out.T
+    return (out.T if flip else out), tables
+
+
 def _symmetrize(f: Kernel) -> Kernel:
-    n, p, q = f.space.n, f.p, f.q
-    tables = [(axis, _orbit_table(n, k) if n ** k <= _ORBIT_CACHE_ENTRIES
-               else _orbit_table.__wrapped__(n, k))
-              for axis, k in ((0, p), (1, q)) if k > 1]
-    out = f.coeffs.reshape(n ** p, n ** q)
-    for axis, (order, starts, sizes, _) in tables:
-        out = np.add.reduceat(out.take(order, axis), starts, axis)
-        out /= sizes[:, None] if axis == 0 else sizes
-    for axis, (_, _, _, ids) in tables:
-        out = out.take(ids, axis)
-    return Kernel._wrap(f.space, p, q, out.reshape(f.coeffs.shape), symmetric=True)
+    out, tables = _orbit_sums(f)  # fresh sums, divided in place
+    for axis, table in enumerate(tables):
+        if table is not None:
+            out /= table[2][:, None] if axis == 0 else table[2]
+            out = out.take(table[3], axis)
+    return Kernel._wrap(f.space, f.p, f.q, out.reshape(f.coeffs.shape), symmetric=True)
+
+
+def _sym_norm_sq(raw: Kernel) -> float:
+    """||symmetrize(raw)||^2 read in orbit space, nothing gathered back: the sum over
+    orbit pairs O of w_O |S_O|^2 / |O|, S_O from ``_orbit_sums`` and w_O the weight
+    product of O's first member in ``order``.  Symmetric input: ``norm_sq`` itself."""
+    if raw.symmetric:
+        return norm_sq(raw)
+    sums, tables = _orbit_sums(raw)
+    total = sums.real ** 2 + sums.imag ** 2
+    for k, table in zip((raw.q, raw.p), tables[::-1]):  # the last axis first
+        w = raw.space._weight_product(k)
+        if table is not None:
+            w = (1.0 if w is None else w[table[0][table[1]]]) / table[2]
+        total = total.sum(-1) if w is None else total @ w
+    return float(total)
 
 
 def reverse_conjugate(f: Kernel) -> Kernel:

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from cwchaos.bounds import CrossTerm, be_upper, fmt_norms, partial_order
-from cwchaos.chaos import _second_moments, fourth_gap, third_moments_closed
+from cwchaos.chaos import (
+    ChaosVariable,
+    _second_moments,
+    fourth_gap,
+    multiply,
+    pairing_expectation,
+    third_moments_closed,
+)
 from cwchaos.ou import GridSpec, RateRow, fbm_gram, numerator_kernel
 from cwchaos.sampling import hermite_hl
 from cwchaos.space import (
@@ -51,6 +58,17 @@ def count_contractions(monkeypatch) -> list[int]:
         if name.startswith("cwchaos") and getattr(module, "contract", None) is contract:
             monkeypatch.setattr(module, "contract", counted)
     return calls
+
+
+def product_formula_gap(f: Kernel) -> float:
+    """The fourth-moment gap of I_{p,q}(f) from the full product F^2 = ``multiply``
+    (F, F), every order symmetrized and gathered back, and E|F^2|^2 paired by
+    ``pairing_expectation``; the oracle for route "moments", which reads each
+    norm from the orbit sums."""
+    F = ChaosVariable.from_kernel(f)
+    F2 = multiply(F, F)
+    s2 = factorial(f.p) * factorial(f.q) * norm_sq(f)
+    return pairing_expectation(F2, F2).real - 2.0 * s2 ** 2 - abs(F2.constant) ** 2
 
 
 def random_space(rng, n: int, weighted: bool = False) -> SpaceSpec:

@@ -28,7 +28,7 @@ from cwchaos.chaos import (
 )
 from cwchaos.space import Kernel, SpaceError, SpaceSpec, inner_product, norm_sq
 
-from conftest import random_kernel, random_space
+from conftest import count_contractions, product_formula_gap, random_kernel, random_space
 
 
 def basis_variable(sp, holo, anti):
@@ -226,6 +226,22 @@ def test_fourth_gap_route_agreement(rng):
         assert abs(g1 - gm) <= 1e-9 * scale
         assert abs(g2 - gm) <= 1e-9 * scale
         assert g1 >= -1e-12 * scale
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(5) for q in range(5 - p) if p + q])
+def test_moments_route_matches_full_product(rng, monkeypatch, p, q, weighted):
+    f = random_kernel(rng, random_space(rng, 3, weighted=weighted), p, q)
+    calls = count_contractions(monkeypatch)
+    ref = product_formula_gap(f)
+    ref_calls, calls[0] = calls[0], 0
+    monkeypatch.setattr(space, "_symmetrize",
+                        lambda g: pytest.fail("the moments route symmetrized a product"))
+    gap = fourth_gap(f, "moments")
+    var = factorial(p) * factorial(q) * norm_sq(f)
+    assert abs(gap - ref) <= 1e-13 * max(abs(ref), var ** 2)
+    # one contraction per (i, j) of the expansion of F F, as multiply makes
+    assert calls[0] == ref_calls == (min(p, q) + 1) ** 2
 
 
 def test_fourth_gap_rejects_scalar(sp4):

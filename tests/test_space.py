@@ -210,18 +210,43 @@ def _permutation_average(f: Kernel) -> np.ndarray:
     return acc / count
 
 
+def _popcount_average(f: Kernel) -> np.ndarray:
+    """Symmetrization of a (k, 0) kernel at n = 2, whose k! permutations are too
+    many to sum: the orbit of a flat index is its number of one bits, and each
+    orbit's mean is summed exactly by ``math.fsum``."""
+    flat = f.coeffs.reshape(-1)
+    index = np.arange(flat.size)
+    ones = sum((index >> bit) & 1 for bit in range(f.p))
+    means = [complex(math.fsum(flat[ones == c].real), math.fsum(flat[ones == c].imag))
+             / np.count_nonzero(ones == c) for c in range(f.p + 1)]
+    return np.array(means)[ones].reshape(f.coeffs.shape)
+
+
+_SYM_ORDERS = [(3, 0), (0, 3), (2, 2), (3, 2), (4, 0), (1, 4), (5, 0)]
+
+
 @pytest.mark.parametrize("weighted", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("p, q", [(3, 0), (0, 3), (2, 2), (3, 2), (4, 0), (1, 4), (5, 0)])
+@pytest.mark.parametrize("p, q, n", [(p, q, n) for p, q in _SYM_ORDERS for n in (1, 2, 3, 4)]
+                         # 2^17 entries, above _ORBIT_CACHE_ENTRIES: the uncached table
+                         + [(17, 0, 2)])
 def test_symmetrize_matches_permutation_average(rng, p, q, n, weighted):
     sp = random_space(rng, n, weighted=weighted)
     f = random_kernel(rng, sp, p, q, symmetric=False)
     s = symmetrize(f).coeffs
-    assert np.max(np.abs(s - _permutation_average(f))) <= 1e-14 * np.max(np.abs(f.coeffs))
+    avg = _permutation_average(f) if p + q <= 5 else _popcount_average(f)
+    assert np.max(np.abs(s - avg)) <= 1e-14 * np.max(np.abs(f.coeffs))
     # each orbit gets one value, so every transposition inside a block is exact
     for lo, hi in ((0, p), (p, p + q)):
         for a, b in combinations(range(lo, hi), 2):
             assert np.array_equal(np.swapaxes(s, a, b), s)
+    # the norm read from the orbit sums, against the average's norm summed exactly
+    expected = math.fsum(_apply_weights(np.abs(avg) ** 2, sp, range(p + q)).ravel())
+    assert abs(space._sym_norm_sq(f) - expected) <= 1e-13 * expected
+    assert space._sym_norm_sq(symmetrize(f)) == norm_sq(symmetrize(f))
+    # a NaN coefficient reaches the norm, so a gap route's route_spread fails closed
+    bad = f.coeffs.copy()
+    bad.flat[-1] = np.nan
+    assert math.isnan(space._sym_norm_sq(Kernel(sp, p, q, bad)))
 
 
 def test_symmetrize_scalar_and_one_point_space_pass_through():
