@@ -18,8 +18,8 @@ engine, coded independently, and the contraction expansion of
 of f.  The expansion's coefficients are written once, in :func:`_gap_terms`,
 which also gives :mod:`cwchaos.bounds` its contraction table and sandwich
 constants.
-Symmetrization is linear, so the expansions sum raw contractions; ``multiply``
-symmetrizes each sum, and the gap routes read its norm in orbit space.
+Symmetrization is linear, so the expansions sum raw contractions, which
+``multiply`` symmetrizes, or their orbit sums, whose norms the gap routes read.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from .space import (
     Kernel,
     SpaceError,
     SpaceSpec,
+    _contract_orbit_sums,
     _json_int,
+    _orbit_norm_sq,
     _sym_norm_sq,
     contract,
     inner_product,
@@ -160,26 +162,23 @@ def _scaled(kern: Kernel, coef: int) -> Kernel:
     return kern if coef == 1 else kern * coef
 
 
-def _product_sums(F: ChaosVariable, G: ChaosVariable):
-    """F G's contraction expansion before symmetrization, ({(p, q): raw sum}, constant);
-    each contraction raises SpaceError above ``space.ENTRY_CAP`` entries."""
+def _product_sums(F: ChaosVariable, G: ChaosVariable, step) -> dict:
+    """F G's contraction expansion before symmetrization: {(p, q): the sum over its terms
+    of that output order of ``step(f, g, i, j, coef)``, coef times a raw contraction or
+    its orbit sums}, the constant under (0, 0).  SpaceError above ``space.ENTRY_CAP``."""
     if not F.space.same_as(G.space):
         raise SpaceError("chaos variables live on different spaces")
-    acc: dict[tuple[int, int], Kernel] = {}
-    const = 0.0 + 0.0j
+    acc = {}
     for (a, b), f in _term_items(F):
         for (c, d), g in _term_items(G):
             for i in range(min(a, d) + 1):
                 for j in range(min(b, c) + 1):
                     coef = (comb(a, i) * comb(d, i) * comb(b, j) * comb(c, j)
                             * factorial(i) * factorial(j))
-                    kern = _scaled(contract(f, g, i, j), coef)
+                    term = step(f, g, i, j, coef)
                     key = (a + c - i - j, b + d - i - j)
-                    if key == (0, 0):
-                        const += complex(kern.coeffs)
-                    else:
-                        acc[key] = acc[key] + kern if key in acc else kern
-    return acc, const
+                    acc[key] = acc[key] + term if key in acc else term
+    return acc
 
 
 def multiply(F: ChaosVariable, G: ChaosVariable) -> ChaosVariable:
@@ -188,7 +187,8 @@ def multiply(F: ChaosVariable, G: ChaosVariable) -> ChaosVariable:
     Exact: every output term is kept, zeros included.  Each contraction raises
     SpaceError before forming an array of more than ``space.ENTRY_CAP`` entries.
     """
-    acc, const = _product_sums(F, G)
+    acc = _product_sums(F, G, lambda f, g, i, j, coef: _scaled(contract(f, g, i, j), coef))
+    const = complex(acc.pop((0, 0)).coeffs) if (0, 0) in acc else 0.0
     return ChaosVariable(F.space, {key: symmetrize(k) for key, k in acc.items()}, const)
 
 
@@ -265,8 +265,11 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
 
     Routes:
 
-    * ``"moments"`` -- product-formula moment engine (SpaceError, before any
-      product, when n^(2(p+q)) exceeds ``space.ENTRY_CAP``);
+    * ``"moments"`` -- product-formula moment engine: E|F|^4 = |E F^2|^2, which the
+      gap cancels, plus the norms of F^2's symmetrized orders, read from the orbit
+      sums that each contraction streams into (``space._contract_orbit_sums``), so
+      f (x) f is never held whole unless p or q is 0; SpaceError, before any
+      product, when n^(2(p+q)) exceeds ``space.ENTRY_CAP``;
     * ``"v1"`` -- contraction sum over f (x)_{i,j} h plus the phi_r groups, the
       f_1 = f_2 case of :func:`cov_abs_sq`'s groups;
     * ``"v2"`` -- the same expansion at f_2 = h, the reverse conjugate of f,
@@ -283,14 +286,12 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
         raise SpaceError("fourth_gap needs p + q >= 1")
     if route == "moments":
         if f.space.n ** (2 * l) > ENTRY_CAP:
-            raise SpaceError(f"the moments route needs n^(2(p+q)) = {f.space.n ** (2 * l)}"
-                             f" entries, above the cap {ENTRY_CAP}")
+            raise SpaceError(f"the moments route streams a product of n^(2(p+q)) = "
+                             f"{f.space.n ** (2 * l)} entries, above the cap {ENTRY_CAP}")
         F = ChaosVariable.from_kernel(f)
-        acc, ef2 = _product_sums(F, F)
-        e4 = abs(ef2) ** 2 + sum(factorial(k) * factorial(kp) * _sym_norm_sq(g)
-                                 for (k, kp), g in acc.items())
         s2 = factorial(p) * factorial(q) * norm_sq(f)
-        return e4 - 2.0 * s2 ** 2 - abs(ef2) ** 2
+        return sum(factorial(k) * factorial(kp) * _orbit_norm_sq(s, f.space, k, kp) for (k, kp), s
+                   in _product_sums(F, F, _contract_orbit_sums).items() if k + kp) - 2.0 * s2 ** 2
     if route == "v1":
         return _cov_groups(f, f)
     if route == "v2":

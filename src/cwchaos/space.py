@@ -17,8 +17,8 @@ Conventions:
   antiholomorphic slots of ``f`` with the *last* ``j`` holomorphic slots of
   ``g``.  No factor is conjugated.  For symmetric kernels the slot choice is
   immaterial; for raw kernels this fixed convention is part of the API.  It is
-  one matrix product of ``f`` as (free, contracted) by ``g`` as (contracted,
-  free), with the contracted side weighted once.
+  one matrix product, weighted once on the contracted side, which the orbit sums
+  of symmetrization can also read slab by slab, never holding it whole.
 
 Kernels are immutable after construction and safe to share across threads.
 Each keeps a private memo of what is derived from it for as long as it lives:
@@ -286,6 +286,8 @@ def norm(f: Kernel) -> float:
 
 #: Largest block, in entries n^k, whose orbit table ``_orbit_table`` keeps.
 _ORBIT_CACHE_ENTRIES = 1 << 16
+#: Entries that ``_orbit_sums`` gathers, or ``_contract_orbit_sums`` multiplies, at a time.
+_SLAB_ENTRIES = 1 << 16
 
 
 @lru_cache(maxsize=32)
@@ -334,25 +336,46 @@ def symmetrize(f: Kernel) -> Kernel:
     return f if f.symmetric else f._cached("sym", _symmetrize)
 
 
-def _orbit_sums(f: Kernel) -> tuple[np.ndarray, list]:
-    """(S, tables): S[a, b] sums f over orbit a of its holomorphic block and b of its
-    antiholomorphic one; tables has each block's ``_orbit_table`` (None if k <= 1).
-    Reduces each block along the last, contiguous axis, transposing in between."""
-    n = f.space.n
-    tables = [None if k < 2 else _orbit_table(n, k) if n ** k <= _ORBIT_CACHE_ENTRIES
-              else _orbit_table.__wrapped__(n, k) for k in (f.p, f.q)]
-    flip = f.p > f.q  # the longer block first: its pass leaves fewer sums
-    out = f.coeffs.reshape(n ** f.p, n ** f.q)
-    out = out.T if flip else out
-    for table in (tables if flip else tables[::-1]):
-        if table is not None:
-            out = np.add.reduceat(out.take(table[0], 1), table[1], 1)
-        out = out.T
-    return (out.T if flip else out), tables
+def _block_tables(n: int, p: int, q: int) -> list:
+    """Each block's ``_orbit_table``, None where k <= 1."""
+    return [None if k < 2 else _orbit_table(n, k) if n ** k <= _ORBIT_CACHE_ENTRIES
+            else _orbit_table.__wrapped__(n, k) for k in (p, q)]
+
+
+def _row_slabs(mat: np.ndarray, width: int):
+    """Slabs of consecutive rows of ``mat``, ``width`` entries a row, ``_SLAB_ENTRIES`` or so."""
+    step = max(1, _SLAB_ENTRIES // width)
+    return (mat,) if step >= len(mat) else (mat[r:r + step] for r in range(0, len(mat), step))
+
+
+def _orbit_sums(slabs, rows: int, tx, ty) -> np.ndarray:
+    """S[a, b]: a matrix of ``rows`` rows, given in slabs of rows, summed over orbit a of its
+    row block and b of its longer column block, reduced first for fewer sums (tables ``tx``,
+    ``ty``; without them S is the matrix).  Each slab is reduced along its last, contiguous
+    axis into the transposed first-pass sums, then each of their slabs likewise, in place."""
+    if ty is None:
+        return np.concatenate(list(slabs))
+    first, r = np.empty((len(ty[1]), rows), dtype=complex), 0
+    for slab in slabs:
+        np.add.reduceat(slab.take(ty[0], 1), ty[1], 1, out=first[:, r:r + len(slab)].T)
+        r += len(slab)
+        del slab  # the next slab is formed without this one
+    for slab in () if tx is None else _row_slabs(first, rows):
+        np.add.reduceat(slab.take(tx[0], 1), tx[1], 1, out=slab[:, :len(tx[1])])
+    return (first if tx is None else first[:, :len(tx[1])]).T
+
+
+def _kernel_orbit_sums(f: Kernel) -> tuple[np.ndarray, list]:
+    """(S, tables): f's ``_orbit_sums``, holomorphic block first, and ``_block_tables``."""
+    tables = _block_tables(f.space.n, f.p, f.q)
+    mat = f.coeffs.reshape(f.space.n ** f.p, -1)
+    if f.p > f.q:  # the holomorphic block on the columns, reduced first
+        return _orbit_sums(_row_slabs(mat.T, len(mat)), mat.shape[1], *tables[::-1]).T, tables
+    return _orbit_sums(_row_slabs(mat, mat.shape[1]), len(mat), *tables), tables
 
 
 def _symmetrize(f: Kernel) -> Kernel:
-    out, tables = _orbit_sums(f)  # fresh sums, divided in place
+    out, tables = _kernel_orbit_sums(f)  # fresh sums, divided in place
     for axis, table in enumerate(tables):
         if table is not None:
             out /= table[2][:, None] if axis == 0 else table[2]
@@ -360,20 +383,22 @@ def _symmetrize(f: Kernel) -> Kernel:
     return Kernel._wrap(f.space, f.p, f.q, out.reshape(f.coeffs.shape), symmetric=True)
 
 
-def _sym_norm_sq(raw: Kernel) -> float:
-    """||symmetrize(raw)||^2 read in orbit space, nothing gathered back: the sum over
-    orbit pairs O of w_O |S_O|^2 / |O|, S_O from ``_orbit_sums`` and w_O the weight
-    product of O's first member in ``order``.  Symmetric input: ``norm_sq`` itself."""
-    if raw.symmetric:
-        return norm_sq(raw)
-    sums, tables = _orbit_sums(raw)
+def _orbit_norm_sq(sums: np.ndarray, space: SpaceSpec, p: int, q: int) -> float:
+    """||Sym g||^2 of a (p, q) array g from its orbit sums S, nothing gathered back: the
+    sum over orbit pairs O of w_O |S_O|^2 / |O|, w_O the weight product of O's first member."""
     total = sums.real ** 2 + sums.imag ** 2
-    for k, table in zip((raw.q, raw.p), tables[::-1]):  # the last axis first
-        w = raw.space._weight_product(k)
+    for k, table in zip((q, p), _block_tables(space.n, p, q)[::-1]):  # the last axis first
+        w = space._weight_product(k)
         if table is not None:
             w = (1.0 if w is None else w[table[0][table[1]]]) / table[2]
         total = total.sum(-1) if w is None else total @ w
     return float(total)
+
+
+def _sym_norm_sq(raw: Kernel) -> float:
+    """||symmetrize(raw)||^2 by ``_orbit_norm_sq``; ``norm_sq`` of symmetric input."""
+    return norm_sq(raw) if raw.symmetric else _orbit_norm_sq(
+        _kernel_orbit_sums(raw)[0], raw.space, raw.p, raw.q)
 
 
 def reverse_conjugate(f: Kernel) -> Kernel:
@@ -386,18 +411,38 @@ def reverse_conjugate(f: Kernel) -> Kernel:
 
 @lru_cache(maxsize=256)
 def _contract_plan(n: int, a: int, b: int, c: int, d: int, i: int, j: int):
-    """``contract``'s layout for f of blocks (a, b) and g of blocks (c, d): the axis
-    orders and matrix shapes of f as (free, contracted) and g as (contracted, free),
-    the product's shape, and its transpose to holomorphic-first (None if identity)."""
+    """f (x)_{i,j} g as (free X, free Y; contracted) matrices, X the output block with fewer axes
+    (holomorphic on a tie): both axis orders, n^ sizes of [f X, f Y, g X, g Y], X and Y's axes,
+    flip (X is antiholomorphic), the groups' holomorphic-first order and the output shape."""
     fh, fa, gh, ga = a - i, b - j, c - j, d - i
-    # f: [holo free, anti free, last i holo, last j anti]; g: [last i anti,
-    # last j holo, holo free, anti free]; product: [f holo, f anti, g holo, g anti]
-    f_axes = (*range(fh), *range(a, a + fa), *range(fh, a), *range(a + fa, a + b))
-    g_axes = (*range(c + ga, c + d), *range(gh, c), *range(gh), *range(c, c + ga))
-    m, k = fh + fa, n ** (i + j)
-    order = (*range(fh), *range(m, m + gh), *range(fh, m), *range(m + gh, m + gh + ga))
-    return (f_axes, (n ** m, k), g_axes, (k, n ** (gh + ga)), (n,) * len(order),
-            None if order == tuple(range(len(order))) else order)
+    flip = fh + gh > fa + ga
+    fx, fy = (range(a, a + fa), range(fh)) if flip else (range(fh), range(a, a + fa))
+    gx, gy = (range(c, c + ga), range(gh)) if flip else (range(gh), range(c, c + ga))
+    return ((*fx, *fy, *range(fh, a), *range(a + fa, a + b)),  # last i holo, last j anti
+            (*range(c + ga, c + d), *range(gh, c), *gx, *gy),  # last i anti, last j holo
+            tuple(n ** len(r) for r in (fx, fy, gx, gy)), (len(fx) + len(gx), len(fy) + len(gy)),
+            flip, (1, 3, 0, 2) if flip else (0, 2, 1, 3), (n,) * (fh + fa + gh + ga))
+
+
+def _contract_factors(f: Kernel, g: Kernel, i: int, j: int):
+    """(plan, f, g): ``_contract_plan`` and its factors, f weighted once on its
+    contracted slots.  SpaceError on a bad pairing or above ``ENTRY_CAP``."""
+    if not f.space.same_as(g.space):
+        raise SpaceError("kernels live on different spaces")
+    a, b, c, d = f.p, f.q, g.p, g.q
+    if not (0 <= i <= min(a, d)):
+        raise SpaceError(f"i = {i} out of range [0, min({a}, {d})]")
+    if not (0 <= j <= min(b, c)):
+        raise SpaceError(f"j = {j} out of range [0, min({b}, {c})]")
+    size = f.space.n ** (a + b + c + d - 2 * (i + j))
+    if size > ENTRY_CAP:
+        raise SpaceError(f"contraction output needs {size} entries, above the cap {ENTRY_CAP}")
+    plan = _contract_plan(f.space.n, a, b, c, d, i, j)
+    f_axes, g_axes, (nfx, nfy, ngx, ngy) = plan[:3]
+    ft = f.coeffs.transpose(f_axes).reshape(nfx * nfy, -1)
+    if i + j and not f.space._unit:
+        ft = ft * f.space._weight_product(i + j)
+    return plan, ft, g.coeffs.transpose(g_axes).reshape(-1, ngx * ngy)
 
 
 def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
@@ -408,29 +453,23 @@ def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     Returns a kernel with blocks (f.p + g.p - i - j, f.q + g.q - i - j); ``i = j = 0``
     is the plain tensor product.  Raises SpaceError, before any array is formed,
     when the output would have more than ``ENTRY_CAP`` entries.  Computed as one
-    ``np.matmul`` of f as an (n^free, n^(i+j)) matrix, weighted once by the flat
-    product of its i + j contracted weights, by g as an (n^(i+j), n^free) matrix,
-    with the axis orders and shapes of each block-order case planned once.
+    ``np.matmul`` of the factors of ``_contract_factors``, made holomorphic-first.
     """
-    if not f.space.same_as(g.space):
-        raise SpaceError("kernels live on different spaces")
-    a, b, c, d = f.p, f.q, g.p, g.q
-    if not (0 <= i <= min(a, d)):
-        raise SpaceError(f"i = {i} out of range [0, min({a}, {d})]")
-    if not (0 <= j <= min(b, c)):
-        raise SpaceError(f"j = {j} out of range [0, min({b}, {c})]")
+    (_, _, sizes, _, _, order, shape), ft, gt = _contract_factors(f, g, i, j)
+    out = np.ascontiguousarray(np.matmul(ft, gt).reshape(sizes).transpose(order))
+    return Kernel._wrap(f.space, f.p + g.p - i - j, f.q + g.q - i - j, out.reshape(shape))
 
-    size = f.space.n ** (a + b + c + d - 2 * (i + j))
-    if size > ENTRY_CAP:
-        raise SpaceError(f"contraction output needs {size} entries, above the cap {ENTRY_CAP}")
-    f_axes, f_shape, g_axes, g_shape, shape, order = _contract_plan(f.space.n, a, b, c, d, i, j)
-    ft = f.coeffs.transpose(f_axes).reshape(f_shape)
-    if i + j and not f.space._unit:
-        ft = ft * f.space._weight_product(i + j)
-    out = np.matmul(ft, g.coeffs.transpose(g_axes).reshape(g_shape)).reshape(shape)
-    if order is not None:
-        out = np.ascontiguousarray(out.transpose(order))
-    return Kernel._wrap(f.space, a + c - i - j, b + d - i - j, out)
+
+def _contract_orbit_sums(f: Kernel, g: Kernel, i: int, j: int, coef) -> np.ndarray:
+    """The ``_orbit_sums`` (holomorphic block first) of coef * contract(f, g, i, j), whose
+    (X, Y) rows come in slabs: each slab of f's leading X rows times g, as [f X, g X | f Y,
+    g Y].  So unless f has no free X slots, the output is never held whole."""
+    (_, _, (nfx, nfy, ngx, ngy), blocks, flip, _, _), ft, gt = _contract_factors(f, g, i, j)
+    slabs = (np.matmul(rows.reshape(-1, len(gt)), gt).reshape(-1, nfy, ngx, ngy)
+             .transpose(0, 2, 1, 3).reshape(-1, nfy * ngy)
+             for rows in _row_slabs(ft.reshape(nfx, -1), nfy * ngx * ngy))
+    sums = _orbit_sums(slabs, nfx * ngx, *_block_tables(f.space.n, *blocks))
+    return (sums.T if flip else sums) * coef
 
 
 def sym_contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:

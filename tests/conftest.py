@@ -25,6 +25,7 @@ from cwchaos.space import (
     Kernel,
     SpaceSpec,
     _apply_weights,
+    _contract_orbit_sums,
     contract,
     norm,
     norm_sq,
@@ -46,17 +47,22 @@ def random_kernel(rng, space: SpaceSpec, p: int, q: int, symmetric: bool = True)
 
 
 def count_contractions(monkeypatch) -> list[int]:
-    """Wrap ``contract`` under every name a cwchaos module binds it to; the
-    returned one-element list counts the calls."""
+    """Wrap ``contract`` and ``_contract_orbit_sums`` under every name a cwchaos
+    module binds them to; the returned one-element list counts the calls."""
     calls = [0]
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return contract(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cwchaos") and getattr(module, "contract", None) is contract:
-            monkeypatch.setattr(module, "contract", counted)
+    for fn in (contract, _contract_orbit_sums):
+        wrapper = counted(fn)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cwchaos"):
+                for attr in [attr for attr, value in vars(module).items() if value is fn]:
+                    monkeypatch.setattr(module, attr, wrapper)
     return calls
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -242,6 +243,22 @@ def test_moments_route_matches_full_product(rng, monkeypatch, p, q, weighted):
     assert abs(gap - ref) <= 1e-13 * max(abs(ref), var ** 2)
     # one contraction per (i, j) of the expansion of F F, as multiply makes
     assert calls[0] == ref_calls == (min(p, q) + 1) ** 2
+
+
+def test_moments_route_never_holds_a_full_product(rng):
+    # at n = 24 the (1,1) square f (x) f has n^4 entries (16 n^4 bytes); the route
+    # streams it into orbit sums, so its peak stays below one such product
+    n = 24
+    f = random_kernel(rng, random_space(rng, n, weighted=True), 1, 1)
+    expected = fourth_gap(f, "moments")  # warm-up: orbit tables and plans
+    tracemalloc.start()
+    try:
+        gap = fourth_gap(f, "moments")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap == expected
+    assert peak < 16 * n ** 4
 
 
 def test_fourth_gap_rejects_scalar(sp4):

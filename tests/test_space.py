@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cwchaos import space
+from cwchaos.chaos import moment_report
 from cwchaos.space import (
     Kernel,
     SpaceError,
@@ -419,6 +420,55 @@ def test_contract_sweep_matches_reference(rng, f_order, weighted):
                 ref = contract_reference(f, g, i, j)
                 assert (got.p, got.q) == (ref.p, ref.q)
                 assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-13 * scale
+
+
+def _slab_entries(n, a, b, c, d, i, j, rows_per_slab):
+    """A ``_SLAB_ENTRIES`` that puts ``rows_per_slab`` leading rows of f in a slab."""
+    nfy, ngx, ngy = space._contract_plan(n, a, b, c, d, i, j)[2][1:]
+    return rows_per_slab * nfy * ngx * ngy
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("rows_per_slab", [1, 2])
+def test_contract_orbit_sums_match_reduced_contraction(rng, monkeypatch, weighted, rows_per_slab):
+    # every pair of orders with p + q <= 3 and every legal (i, j) at n = 3: one
+    # leading row of f per slab, or two, which leaves a short last slab of the
+    # 3^k rows; the oracle reduces the whole contraction in one slab
+    sp = random_space(rng, 3, weighted=weighted)
+    split = 0
+    for (a, b), (c, d) in product(SMALL_ORDERS, repeat=2):
+        f = random_kernel(rng, sp, a, b, symmetric=False)
+        g = random_kernel(rng, sp, c, d, symmetric=False)
+        for i in range(min(a, d) + 1):
+            for j in range(min(b, c) + 1):
+                coef = math.comb(a, i) * math.factorial(j) + 0.5
+                ref = coef * space._kernel_orbit_sums(contract(f, g, i, j))[0]
+                entries = _slab_entries(3, a, b, c, d, i, j, rows_per_slab)
+                with monkeypatch.context() as m:
+                    m.setattr(space, "_SLAB_ENTRIES", entries)
+                    got = space._contract_orbit_sums(f, g, i, j, coef)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+                split += space._contract_plan(3, a, b, c, d, i, j)[2][0] > rows_per_slab
+    assert split > 50  # most cases stream more than one slab
+
+
+@pytest.mark.parametrize("rows_per_slab", [1, 2])
+def test_contract_orbit_sums_keep_a_nan_in_the_last_slab(rng, monkeypatch, rows_per_slab):
+    # a NaN in f's last holomorphic row reaches only the last slab of f (x) g;
+    # the orbit sums and the norm read from them, and so the gap, must be NaN
+    sp = random_space(rng, 3, weighted=True)
+    coeffs = random_kernel(rng, sp, 1, 1, symmetric=False).coeffs.copy()
+    coeffs[-1, 0] = np.nan
+    f, g = Kernel(sp, 1, 1, coeffs), random_kernel(rng, sp, 1, 1, symmetric=False)
+    full = contract(f, g, 0, 0).coeffs
+    assert np.isnan(full[-1]).any() and not np.isnan(full[:-1]).any()
+    monkeypatch.setattr(space, "_SLAB_ENTRIES", _slab_entries(3, 1, 1, 1, 1, 0, 0, rows_per_slab))
+    sums = space._contract_orbit_sums(f, g, 0, 0, 1)
+    assert np.isnan(sums).any()
+    assert math.isnan(space._orbit_norm_sq(sums, sp, 2, 2))
+    report = moment_report(f)
+    assert math.isnan(report.gap) and math.isnan(report.route_spread())
 
 
 @pytest.mark.parametrize("weighted", [False, True])
