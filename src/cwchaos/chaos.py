@@ -267,9 +267,10 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
 
     * ``"moments"`` -- product-formula moment engine: E|F|^4 = |E F^2|^2, which the
       gap cancels, plus the norms of F^2's symmetrized orders, read from the orbit
-      sums that each contraction streams into (``space._contract_orbit_sums``), so
-      f (x) f is never held whole unless p or q is 0; SpaceError, before any
-      product, when n^(2(p+q)) exceeds ``space.ENTRY_CAP``;
+      sums that each contraction forms in orbit coordinates and streams into
+      (``space._contract_orbit_sums``), so f (x) f is never held, only slabs of
+      its orbit-pair products; SpaceError, before any product, when n^(2(p+q))
+      exceeds ``space.ENTRY_CAP``;
     * ``"v1"`` -- contraction sum over f (x)_{i,j} h plus the phi_r groups, the
       f_1 = f_2 case of :func:`cov_abs_sq`'s groups;
     * ``"v2"`` -- the same expansion at f_2 = h, the reverse conjugate of f,

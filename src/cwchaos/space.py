@@ -17,8 +17,9 @@ Conventions:
   antiholomorphic slots of ``f`` with the *last* ``j`` holomorphic slots of
   ``g``.  No factor is conjugated.  For symmetric kernels the slot choice is
   immaterial; for raw kernels this fixed convention is part of the API.  It is
-  one matrix product, weighted once on the contracted side, which the orbit sums
-  of symmetrization can also read slab by slab, never holding it whole.
+  one matrix product, weighted once on the contracted side.  Its orbit sums, as
+  symmetrization reads them, also come slab by slab: over the orbits of each
+  factor's groups of axes for symmetric kernels, reduced through pair tables.
 
 Kernels are immutable after construction and safe to share across threads.
 Each keeps a private memo of what is derived from it for as long as it lives:
@@ -28,10 +29,11 @@ table, v1 gap and third moments (``chaos``).  New kernels start with none.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -284,10 +286,26 @@ def norm(f: Kernel) -> float:
 # -- symmetrization, conjugation, contraction ---------------------------------
 
 
-#: Largest block, in entries n^k, whose orbit table ``_orbit_table`` keeps.
+#: Most entries (n^k of a block, orbits, orbit pairs) of an orbit table that a cache keeps.
 _ORBIT_CACHE_ENTRIES = 1 << 16
 #: Entries that ``_orbit_sums`` gathers, or ``_contract_orbit_sums`` multiplies, at a time.
 _SLAB_ENTRIES = 1 << 16
+
+
+def _id_table(digits: np.ndarray, n: int) -> tuple:
+    """The read-only (order, starts, sizes, ids) of ``_orbit_table`` over the rows of ``digits``
+    (each below n), sorted here in place: a row's orbit is its sorted multi-index, numbered
+    by its colex rank sum_a C(s_a + a, a + 1)."""
+    digits.sort(axis=1)
+    ids = np.zeros(len(digits), dtype=np.intp)
+    for a in range(digits.shape[1]):
+        ids += np.array([math.comb(s + a, a + 1) for s in range(n)])[digits[:, a]]
+    sizes = np.bincount(ids, minlength=math.comb(n + digits.shape[1] - 1, digits.shape[1]))
+    table = (np.argsort(ids, kind="stable"), np.concatenate(([0], np.cumsum(sizes[:-1]))),
+             sizes.astype(float), ids)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=32)
@@ -297,32 +315,48 @@ def _orbit_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     flat indices orbit by orbit, ``starts`` where each orbit begins in it,
     ``sizes`` its members (as floats) and ``ids`` the orbit of each flat index.
 
-    An orbit is a sorted multi-index s_1 <= ... <= s_k, numbered by its colex
-    rank sum_a C(s_a + a - 1, a).  The digits are held in the smallest unsigned
-    dtype: k n^k bytes for n <= 256, beside 8-byte ranks and the table's own
-    16 n^k bytes, where an index array of np.indices would take 8 k n^k.  The
-    cache keeps at most 32 tables of at most ``_ORBIT_CACHE_ENTRIES`` entries
-    (larger blocks call ``_orbit_table.__wrapped__``), each under 2 MiB: at
-    most 64 MiB in all.  Concurrent first calls may build a table twice; the
-    copies are equal.
+    An orbit is a sorted multi-index, numbered as ``_id_table`` says.  The digits
+    are held in the smallest unsigned dtype: k n^k bytes for n <= 256, beside 8-byte
+    ranks and the table's own 16 n^k bytes, where an index array of np.indices would
+    take 8 k n^k.  The cache keeps at most 32 tables of at most ``_ORBIT_CACHE_ENTRIES``
+    entries (``_cached_below``), each under 2 MiB: at most 64 MiB in all.  Concurrent
+    first calls may build a table twice; the copies are equal.
     """
     dt = np.min_scalar_type(n - 1)
     digits = np.empty((n,) * k + (k,), dtype=dt)
     for a in range(k):  # digit a of every multi-index, by broadcasting
         digits[..., a] = np.arange(n, dtype=dt).reshape((n,) + (1,) * (k - 1 - a))
-    digits = digits.reshape(n ** k, k)
-    digits.sort(axis=1)
-    ids = np.zeros(n ** k, dtype=np.intp)
-    for a in range(k):
-        ids += np.array([math.comb(s + a, a + 1) for s in range(n)])[digits[:, a]]
-    del digits
-    sizes = np.bincount(ids, minlength=math.comb(n + k - 1, k))
-    order = np.argsort(ids, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    table = (order, starts, sizes.astype(float), ids)
-    for arr in table:
+    return _id_table(digits.reshape(n ** k, k), n)
+
+
+@lru_cache(maxsize=32)
+def _orbit_reps(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, flat, sizes) of the C(n + k - 1, k) orbits of a k-axis block in rank order,
+    read-only: each orbit's sorted multi-index, its row-major flat index and its size k! /
+    prod m! over the multiplicities m of its digits, as floats.  No n^k array is formed;
+    ``_codes`` caches at most ``_ORBIT_CACHE_ENTRIES`` orbits, under 2 MiB."""
+    m = math.comb(n + k - 1, k)
+    digits = np.fromiter(itertools.chain.from_iterable(itertools.combinations_with_replacement(
+        range(n), k)), np.min_scalar_type(n - 1), m * k).reshape(m, k)
+    digits = np.ascontiguousarray((n - 1 - digits)[::-1, ::-1])  # lexicographic to colex
+    run, sizes = np.ones(m), np.full(m, float(math.factorial(k)))
+    for a in range(1, k):  # run: how many digits up to a equal digit a
+        run = np.where(digits[:, a] == digits[:, a - 1], run + 1, 1.0)
+        sizes /= run
+    reps = (digits, digits @ n ** np.arange(k - 1, -1, -1), sizes)
+    for arr in reps:
         arr.setflags(write=False)
-    return table
+    return reps
+
+
+def _cached_below(build, entries: int, *args):
+    """``build(*args)``, from its cache if it has at most ``_ORBIT_CACHE_ENTRIES`` entries."""
+    return build(*args) if entries <= _ORBIT_CACHE_ENTRIES else build.__wrapped__(*args)
+
+
+def _codes(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_orbit_reps(n, k)`` by ``_cached_below``."""
+    return _cached_below(_orbit_reps, math.comb(n + k - 1, k), n, k)
 
 
 def symmetrize(f: Kernel) -> Kernel:
@@ -336,12 +370,6 @@ def symmetrize(f: Kernel) -> Kernel:
     return f if f.symmetric else f._cached("sym", _symmetrize)
 
 
-def _block_tables(n: int, p: int, q: int) -> list:
-    """Each block's ``_orbit_table``, None where k <= 1."""
-    return [None if k < 2 else _orbit_table(n, k) if n ** k <= _ORBIT_CACHE_ENTRIES
-            else _orbit_table.__wrapped__(n, k) for k in (p, q)]
-
-
 def _row_slabs(mat: np.ndarray, width: int):
     """Slabs of consecutive rows of ``mat``, ``width`` entries a row, ``_SLAB_ENTRIES`` or so."""
     step = max(1, _SLAB_ENTRIES // width)
@@ -350,24 +378,35 @@ def _row_slabs(mat: np.ndarray, width: int):
 
 def _orbit_sums(slabs, rows: int, tx, ty) -> np.ndarray:
     """S[a, b]: a matrix of ``rows`` rows, given in slabs of rows, summed over orbit a of its
-    row block and b of its longer column block, reduced first for fewer sums (tables ``tx``,
-    ``ty``; without them S is the matrix).  Each slab is reduced along its last, contiguous
-    axis into the transposed first-pass sums, then each of their slabs likewise, in place."""
+    row block and b of its longer column block (tables ``tx``, ``ty`` as ``_orbit_table`` or
+    ``_pair_table`` gives them; without them S is the matrix).  Each slab is reduced along its
+    last, contiguous axis; a lone slab's rows then likewise, by the table's stable order,
+    else each slab's rows are binned into their orbits as it arrives, in the same ascending
+    order, by ``np.add.at``: S and one slab's sums are all that is held."""
     if ty is None:
         return np.concatenate(list(slabs))
-    first, r = np.empty((len(ty[1]), rows), dtype=complex), 0
+    out, r = None, 0
     for slab in slabs:
-        np.add.reduceat(slab.take(ty[0], 1), ty[1], 1, out=first[:, r:r + len(slab)].T)
+        first = np.add.reduceat(slab.take(ty[0], 1), ty[1], 1)
+        if len(slab) == rows:
+            return first if tx is None else np.add.reduceat(first.take(tx[0], 0), tx[1], 0)
+        if out is None:
+            out = np.zeros((rows if tx is None else len(tx[1]), first.shape[1]), dtype=complex)
+        if tx is None:
+            out[r:r + len(slab)] = first
+        else:  # on the flat sums: numpy's fast path for np.add.at
+            np.add.at(out.reshape(-1), (tx[3][r:r + len(slab), None] * out.shape[1]
+                                        + np.arange(out.shape[1])).reshape(-1), first.reshape(-1))
         r += len(slab)
-        del slab  # the next slab is formed without this one
-    for slab in () if tx is None else _row_slabs(first, rows):
-        np.add.reduceat(slab.take(tx[0], 1), tx[1], 1, out=slab[:, :len(tx[1])])
-    return (first if tx is None else first[:, :len(tx[1])]).T
+        del slab, first  # the next slab is formed without this one
+    return out
 
 
 def _kernel_orbit_sums(f: Kernel) -> tuple[np.ndarray, list]:
-    """(S, tables): f's ``_orbit_sums``, holomorphic block first, and ``_block_tables``."""
-    tables = _block_tables(f.space.n, f.p, f.q)
+    """(S, tables): f's ``_orbit_sums``, holomorphic block first, and each block's
+    ``_orbit_table``, None where it has at most one axis."""
+    tables = [None if k < 2 else _cached_below(_orbit_table, f.space.n ** k, f.space.n, k)
+              for k in (f.p, f.q)]
     mat = f.coeffs.reshape(f.space.n ** f.p, -1)
     if f.p > f.q:  # the holomorphic block on the columns, reduced first
         return _orbit_sums(_row_slabs(mat.T, len(mat)), mat.shape[1], *tables[::-1]).T, tables
@@ -384,14 +423,15 @@ def _symmetrize(f: Kernel) -> Kernel:
 
 
 def _orbit_norm_sq(sums: np.ndarray, space: SpaceSpec, p: int, q: int) -> float:
-    """||Sym g||^2 of a (p, q) array g from its orbit sums S, nothing gathered back: the
-    sum over orbit pairs O of w_O |S_O|^2 / |O|, w_O the weight product of O's first member."""
-    total = sums.real ** 2 + sums.imag ** 2
-    for k, table in zip((q, p), _block_tables(space.n, p, q)[::-1]):  # the last axis first
-        w = space._weight_product(k)
-        if table is not None:
-            w = (1.0 if w is None else w[table[0][table[1]]]) / table[2]
-        total = total.sum(-1) if w is None else total @ w
+    """||Sym g||^2 of a (p, q) array g from its orbit sums S, nothing gathered back: the sum
+    over orbit pairs O of w_O |S_O|^2 / |O|, w_O the weight product of O's ``_orbit_reps``
+    member, read in slabs of rows so that no temporary is as large as S."""
+    wx, wy = ((1.0 if w is None else w[flat]) / size for w, (_, flat, size) in
+              ((space._weight_product(k), _codes(space.n, k)) for k in (p, q)))
+    step, total = max(1, _SLAB_ENTRIES // sums.shape[1]), 0.0
+    for r in range(0, len(sums), step):
+        s = sums[r:r + step]
+        total += wx[r:r + step] @ ((s.real ** 2 + s.imag ** 2) @ wy)
     return float(total)
 
 
@@ -412,37 +452,23 @@ def reverse_conjugate(f: Kernel) -> Kernel:
 @lru_cache(maxsize=256)
 def _contract_plan(n: int, a: int, b: int, c: int, d: int, i: int, j: int):
     """f (x)_{i,j} g as (free X, free Y; contracted) matrices, X the output block with fewer axes
-    (holomorphic on a tie): both axis orders, n^ sizes of [f X, f Y, g X, g Y], X and Y's axes,
-    flip (X is antiholomorphic), the groups' holomorphic-first order and the output shape."""
+    (holomorphic on a tie): both axis orders, n^ sizes of [f X, f Y, g X, g Y], flip (X is
+    antiholomorphic), the groups' holomorphic-first order and the output shape.  SpaceError,
+    which is never cached, on a bad pairing or an output above ``ENTRY_CAP``."""
+    if not (0 <= i <= min(a, d)):
+        raise SpaceError(f"i = {i} out of range [0, min({a}, {d})]")
+    if not (0 <= j <= min(b, c)):
+        raise SpaceError(f"j = {j} out of range [0, min({b}, {c})]")
+    if (size := n ** (a + b + c + d - 2 * (i + j))) > ENTRY_CAP:
+        raise SpaceError(f"contraction output needs {size} entries, above the cap {ENTRY_CAP}")
     fh, fa, gh, ga = a - i, b - j, c - j, d - i
     flip = fh + gh > fa + ga
     fx, fy = (range(a, a + fa), range(fh)) if flip else (range(fh), range(a, a + fa))
     gx, gy = (range(c, c + ga), range(gh)) if flip else (range(gh), range(c, c + ga))
     return ((*fx, *fy, *range(fh, a), *range(a + fa, a + b)),  # last i holo, last j anti
             (*range(c + ga, c + d), *range(gh, c), *gx, *gy),  # last i anti, last j holo
-            tuple(n ** len(r) for r in (fx, fy, gx, gy)), (len(fx) + len(gx), len(fy) + len(gy)),
-            flip, (1, 3, 0, 2) if flip else (0, 2, 1, 3), (n,) * (fh + fa + gh + ga))
-
-
-def _contract_factors(f: Kernel, g: Kernel, i: int, j: int):
-    """(plan, f, g): ``_contract_plan`` and its factors, f weighted once on its
-    contracted slots.  SpaceError on a bad pairing or above ``ENTRY_CAP``."""
-    if not f.space.same_as(g.space):
-        raise SpaceError("kernels live on different spaces")
-    a, b, c, d = f.p, f.q, g.p, g.q
-    if not (0 <= i <= min(a, d)):
-        raise SpaceError(f"i = {i} out of range [0, min({a}, {d})]")
-    if not (0 <= j <= min(b, c)):
-        raise SpaceError(f"j = {j} out of range [0, min({b}, {c})]")
-    size = f.space.n ** (a + b + c + d - 2 * (i + j))
-    if size > ENTRY_CAP:
-        raise SpaceError(f"contraction output needs {size} entries, above the cap {ENTRY_CAP}")
-    plan = _contract_plan(f.space.n, a, b, c, d, i, j)
-    f_axes, g_axes, (nfx, nfy, ngx, ngy) = plan[:3]
-    ft = f.coeffs.transpose(f_axes).reshape(nfx * nfy, -1)
-    if i + j and not f.space._unit:
-        ft = ft * f.space._weight_product(i + j)
-    return plan, ft, g.coeffs.transpose(g_axes).reshape(-1, ngx * ngy)
+            tuple(n ** len(r) for r in (fx, fy, gx, gy)), flip,
+            (1, 3, 0, 2) if flip else (0, 2, 1, 3), (n,) * (fh + fa + gh + ga))
 
 
 def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
@@ -453,23 +479,84 @@ def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     Returns a kernel with blocks (f.p + g.p - i - j, f.q + g.q - i - j); ``i = j = 0``
     is the plain tensor product.  Raises SpaceError, before any array is formed,
     when the output would have more than ``ENTRY_CAP`` entries.  Computed as one
-    ``np.matmul`` of the factors of ``_contract_factors``, made holomorphic-first.
+    ``np.matmul`` of the matrices of ``_contract_plan``, f weighted once on its
+    contracted slots, made holomorphic-first.
     """
-    (_, _, sizes, _, _, order, shape), ft, gt = _contract_factors(f, g, i, j)
-    out = np.ascontiguousarray(np.matmul(ft, gt).reshape(sizes).transpose(order))
+    if not f.space.same_as(g.space):
+        raise SpaceError("kernels live on different spaces")
+    f_axes, g_axes, sizes, _, order, shape = _contract_plan(f.space.n, f.p, f.q, g.p, g.q, i, j)
+    ft = f.coeffs.transpose(f_axes).reshape(sizes[0] * sizes[1], -1)
+    if i + j and not f.space._unit:
+        ft = ft * f.space._weight_product(i + j)
+    out = np.matmul(ft, g.coeffs.transpose(g_axes).reshape(-1, sizes[2] * sizes[3]))
+    out = np.ascontiguousarray(out.reshape(sizes).transpose(order))
     return Kernel._wrap(f.space, f.p + g.p - i - j, f.q + g.q - i - j, out.reshape(shape))
 
 
+@lru_cache(maxsize=32)
+def _pair_table(n: int, k1: int, k2: int) -> tuple:
+    """The ``_id_table`` of (k1 + k2)-axis orbits over the pairs of a k1-axis and a k2-axis
+    orbit, the first varying slowest: each pair goes to the orbit of its multiset union.
+    Cached like ``_orbit_table``, by ``_cached_below`` on the pairs."""
+    d1, d2 = _codes(n, k1)[0], _codes(n, k2)[0]
+    pairs = np.empty((len(d1), len(d2), k1 + k2), dtype=d1.dtype)
+    pairs[..., :k1], pairs[..., k1:] = d1[:, None], d2[None]
+    return _id_table(pairs.reshape(len(d1) * len(d2), k1 + k2), n)
+
+
+@lru_cache(maxsize=256)
+def _orbit_plan(n: int, a: int, b: int, c: int, d: int, i: int, j: int, sym: bool):
+    """``_contract_plan`` over the orbits of each group of free or contracted axes of symmetric
+    f and g (over its multi-indices unless ``sym``): flip, the counts [f X, f Y, g X, g Y], the
+    builders of the X and Y blocks' tables, and for f as [f X, f Y | C_i, C_j] and g as [C_i,
+    C_j | g X, g Y] the shape and axis order of a view by groups, then the flat index of one
+    member of each orbit of each group, and its multiplicity: |A| of free orbits A, times |C|
+    of contracted orbits C on f's side, which carries the contracted sum once.  The last
+    two are None where no group has two axes; else they take 16 bytes a factor entry."""
+    flip, (fh, fa, gh, ga) = _contract_plan(n, a, b, c, d, i, j)[3], (a - i, b - j, c - j, d - i)
+    fg, gg = ((fa, fh, i, j), (i, j, ga, gh)) if flip else ((fh, fa, i, j), (i, j, gh, ga))
+    counts = tuple(len(_codes(n, k)[1]) if sym else n ** k for k in (*fg[:2], *gg[2:]))
+
+    def side(groups, shape, order, free):  # ``free``: the first group counted
+        if not sym or max(groups) < 2:
+            return shape, order, None, None
+        reps = [_codes(n, k) for k in groups]
+        idx = np.arange(math.prod(shape)).reshape(shape).transpose(order)
+        idx = idx[np.ix_(*(r[1] for r in reps))]
+        return shape, order, idx.ravel(), reduce(np.multiply.outer, [
+            r[2] if x >= free else np.ones(len(r[2])) for x, r in enumerate(reps)]).ravel()
+
+    tables = [None if k1 + k2 < 2 else partial(_cached_below, _pair_table, m, n, k1, k2) if sym
+              else partial(_cached_below, _orbit_table, m, n, k1 + k2) for k1, k2, m in
+              ((fg[0], gg[2], counts[0] * counts[2]), (fg[1], gg[3], counts[1] * counts[3]))]
+    return (flip, counts, tables,
+            side(fg, (n ** fh, n ** i, n ** fa, n ** j), (2, 0, 1, 3) if flip else (0, 2, 1, 3), 0),
+            side(gg, (n ** gh, n ** j, n ** ga, n ** i), (3, 1, 2, 0) if flip else (3, 1, 0, 2), 2))
+
+
 def _contract_orbit_sums(f: Kernel, g: Kernel, i: int, j: int, coef) -> np.ndarray:
-    """The ``_orbit_sums`` (holomorphic block first) of coef * contract(f, g, i, j), whose
-    (X, Y) rows come in slabs: each slab of f's leading X rows times g, as [f X, g X | f Y,
-    g Y].  So unless f has no free X slots, the output is never held whole."""
-    (_, _, (nfx, nfy, ngx, ngy), blocks, flip, _, _), ft, gt = _contract_factors(f, g, i, j)
+    """The ``_orbit_sums`` (holomorphic block first) of coef * contract(f, g, i, j), in orbit
+    coordinates for symmetric kernels: ``_orbit_plan`` reads each factor at one member per
+    orbit of its groups of axes, f weighted once on its contracted slots, and the [f X, g X |
+    f Y, g Y] product, formed in slabs of f's leading X rows, reduces through each output
+    block's ``_pair_table`` (raw kernels: all multi-indices and the block's orbit table).
+    coef scales g's factor, so the sums are never copied."""
+    if not f.space.same_as(g.space):
+        raise SpaceError("kernels live on different spaces")
+    n, sym = f.space.n, f.symmetric and g.symmetric
+    flip, (nfx, nfy, ngx, ngy), tables, *sides = _orbit_plan(n, f.p, f.q, g.p, g.q, i, j, sym)
+    fv, gv = f.coeffs.reshape(sides[0][0]), g.coeffs.reshape(sides[1][0])
+    if i + j and not f.space._unit:
+        fv = fv * f.space._weight_product(i + j).reshape(1, n ** i, 1, n ** j)
+    ft, gt = (v.transpose(order) if idx is None else v.reshape(-1).take(idx) * mul
+              for v, (_, order, idx, mul) in zip((fv, gv), sides))
+    ft, gt = ft.reshape(nfx * nfy, -1), gt.reshape(-1, ngx * ngy)
+    gt = gt if coef == 1 else gt * coef
     slabs = (np.matmul(rows.reshape(-1, len(gt)), gt).reshape(-1, nfy, ngx, ngy)
              .transpose(0, 2, 1, 3).reshape(-1, nfy * ngy)
              for rows in _row_slabs(ft.reshape(nfx, -1), nfy * ngx * ngy))
-    sums = _orbit_sums(slabs, nfx * ngx, *_block_tables(f.space.n, *blocks))
-    return (sums.T if flip else sums) * coef
+    sums = _orbit_sums(slabs, nfx * ngx, *(t and t() for t in tables))
+    return sums.T if flip else sums
 
 
 def sym_contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:

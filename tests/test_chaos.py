@@ -261,6 +261,23 @@ def test_moments_route_never_holds_a_full_product(rng):
     assert peak < 16 * n ** 4
 
 
+def test_moments_route_compresses_a_one_block_product(rng):
+    # a (2,0) kernel has no antiholomorphic slot to stream over, so its one product
+    # f (x) f is formed whole: 20^4 entries (16 n^4 bytes) dense, 210^2 over the orbits
+    # of its two free pairs
+    n = 20
+    f = random_kernel(rng, random_space(rng, n, weighted=True), 2, 0)
+    expected = fourth_gap(f, "moments")  # warm-up: orbit tables, plans, weight products
+    tracemalloc.start()
+    try:
+        gap = fourth_gap(f, "moments")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap == expected
+    assert peak < 16 * n ** 4
+
+
 def test_fourth_gap_rejects_scalar(sp4):
     with pytest.raises(SpaceError):
         fourth_gap(Kernel.scalar(sp4, 1.0))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cwchaos import space
-from cwchaos.chaos import moment_report
+from cwchaos.chaos import fourth_gap, moment_report
 from cwchaos.space import (
     Kernel,
     SpaceError,
@@ -469,6 +469,55 @@ def test_contract_orbit_sums_keep_a_nan_in_the_last_slab(rng, monkeypatch, rows_
     assert math.isnan(space._orbit_norm_sq(sums, sp, 2, 2))
     report = moment_report(f)
     assert math.isnan(report.gap) and math.isnan(report.route_spread())
+
+
+#: every block order with p + q <= 4, the scalar (0,0) included
+ORDERS_4 = [(p, total - p) for total in range(5) for p in range(total, -1, -1)]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_coordinates_match_reduced_contraction(rng, monkeypatch, n, weighted):
+    # symmetric f of every order with p + q <= 4, contracted with g = f and with its
+    # reverse conjugate h at every legal (i, j): the primitive reads f and g at one member
+    # per orbit and reduces through pair tables; the oracle reduces the dense contraction.
+    # Slabs of all but one of f's leading X codes leave a short last slab of one code
+    # wherever f has three or more.
+    sp = random_space(rng, n, weighted=weighted)
+    short = 0
+    for a, b in ORDERS_4:
+        f = random_kernel(rng, sp, a, b)
+        for g in (f, reverse_conjugate(f)):
+            for i, j in product(range(min(a, g.q) + 1), range(min(b, g.p) + 1)):
+                coef = math.comb(a, i) * math.factorial(j) + 0.5
+                ref = coef * space._kernel_orbit_sums(contract(f, g, i, j))[0]
+                nfx, nfy, ngx, ngy = space._orbit_plan(n, a, b, g.p, g.q, i, j, True)[1]
+                with monkeypatch.context() as m:
+                    m.setattr(space, "_SLAB_ENTRIES", max(1, nfx - 1) * nfy * ngx * ngy)
+                    got = space._contract_orbit_sums(f, g, i, j, coef)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+                short += nfx > 2
+    assert short > 15
+    # the (2,2) square runs over the 10 orbits of each free pair, not its 16 entries
+    assert space._orbit_plan(4, 2, 2, 2, 2, 0, 0, True)[1] == (10, 10, 10, 10)
+
+
+def test_orbit_coordinates_keep_a_nan_in_the_last_slab(rng, monkeypatch):
+    # a NaN at holomorphic (2, 2) spreads over its orbit under symmetrize: the last of
+    # f's six X codes, read in the short last slab of slabs of four; the sums, the norm
+    # read from them and the gap must be NaN
+    sp = random_space(rng, 3, weighted=True)
+    coeffs = random_kernel(rng, sp, 2, 2, symmetric=False).coeffs.copy()
+    coeffs[2, 2, 0, 1] = np.nan
+    f = symmetrize(Kernel(sp, 2, 2, coeffs))
+    nfx, nfy, ngx, ngy = space._orbit_plan(3, 2, 2, 2, 2, 0, 0, True)[1]
+    assert nfx == 6
+    monkeypatch.setattr(space, "_SLAB_ENTRIES", 4 * nfy * ngx * ngy)
+    sums = space._contract_orbit_sums(f, f, 0, 0, 1)
+    assert np.isnan(sums).any() and not np.isnan(sums).all()
+    assert math.isnan(space._orbit_norm_sq(sums, sp, 4, 4))
+    assert math.isnan(fourth_gap(f, "moments"))
 
 
 @pytest.mark.parametrize("weighted", [False, True])
