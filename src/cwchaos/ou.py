@@ -18,9 +18,9 @@ circulant embedding and FFT, without forming it.  Its sweep whitens the
 kernel: with G = L L^T (Cholesky), A = L^T K L on the orthonormal space has
 every inner product and contraction that K has under G, and each row field is
 a Frobenius sum over A, A A and A^H A.  One walk, ``_triangle_rows``, applies K to
-columns: to a block of draws in the sampler, and to L in the whitening.  It goes
-down the rows in blocks (``_ar1_rows``): a closed form with one ``cumsum`` on
-narrow inputs, one plain AR(1) step per row on wide ones.
+columns: to the draws in the sampler, chunk by chunk as they are drawn, and to L
+in the whitening.  It goes down the rows in blocks (``_ar1_rows``): a closed form
+with one ``cumsum`` on narrow inputs, one plain AR(1) step per row on wide ones.
 """
 
 from __future__ import annotations
@@ -462,60 +462,93 @@ def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:
 _WALK_ROWS = 64                        # rows per closed-form block of ``_ar1_rows``
 _WALK_ENTRIES = 4096                   # entries per closed-form block
 _WALK_WIDE = 256                       # from this width on, row adds beat cumsum
+_CHUNK_ENTRIES = 1 << 18               # draws per chunk of ``_drawn_chunks``, 4 MiB
 
 
-def _ar1_rows(a, x, gain=1.0):
+def _block_rows(a, width: int) -> int:
+    """Rows r of a closed-form block of ``_ar1_rows`` down rows of ``width``
+    entries: r = min(64, 4096 // width, 64 / (lam dt)) with lam dt = -ln|a|, so
+    a block holds at most 4096 entries and |a|^-r stays below e^64; at least 1."""
+    rows = min(_WALK_ROWS, max(1, _WALK_ENTRIES // width))
+    lam_dt = -log(abs(a)) if a != 0 else inf
+    if lam_dt * rows > 64.0:                  # |a|^-rows would pass e^64
+        rows = max(1, int(64.0 / lam_dt))
+    return rows
+
+
+def _ar1_rows(a, x, gain=1.0, y=0.0):
     """Blocks (lo, Y[lo:hi]) of the rows Y_1, ..., Y_n of the AR(1) recursion
-    Y_0 = 0, Y_{k+1} = a Y_k + gain x_k down the rows of the array x, where row
+    Y_0 = y, Y_{k+1} = a Y_k + gain x_k down the rows of the array x, where row
     lo of Y is Y_{lo+1}; a caller that reduces block by block never holds all
     of Y.  The blocks are the walk's state: a caller must not write into them.
+    An array y is advanced in place to Y_n once the walk is exhausted, so walks
+    of consecutive row ranges of x, each but the last a multiple of
+    ``_block_rows`` long, sharing one y are bitwise the walk of the whole x.
 
     A block of r > 1 rows is the closed form Y_{s+i+1} = a^(i+1) (Y_s +
     sum_{j<=i} gain a^-(j+1) x_{s+j}), one prefix sum (a blocked scan in the
     style of Blelloch's prefix sums): a ``cumsum``, or from 256 columns on, where
     numpy's cumsum down the rows is the slower, r - 1 row adds in the same order.
-    r = min(64, 4096 // width, 64 / (lam dt)) with lam dt = -ln|a|, so a block
-    holds at most 4096 entries and |a|^-r stays below e^64.  r = 1 is the plain
-    step a y + gain x_k, bitwise the sequential walk; it is all that runs at 4096
-    or more columns, or where a underflows to 0.
+    r is ``_block_rows``.  r = 1 is the plain step a y + gain x_k, bitwise the
+    sequential walk; it is all that runs at 4096 or more columns, or where a
+    underflows to 0.
     """
     n = x.shape[0]
     width = int(np.prod(x.shape[1:]))
-    rows = min(_WALK_ROWS, max(1, _WALK_ENTRIES // width))
-    mod = abs(a)
-    lam_dt = -log(mod) if mod > 0 else inf
-    if lam_dt * rows > 64.0:                  # |a|^-rows would pass e^64
-        rows = max(1, int(64.0 / lam_dt))
-    y = 0.0
+    rows = _block_rows(a, width)
+    state = y
     if rows == 1:
         for lo in range(n):
             y = a * y + gain * x[lo]
             yield lo, y[None]
-        return
-    up = (a ** np.arange(1, rows + 1)).reshape((rows,) + (1,) * (x.ndim - 1))
-    down = gain / up
-    for lo in range(0, n, rows):
-        r = min(rows, n - lo)
-        block = down[:r] * x[lo:lo + r]
-        if width >= _WALK_WIDE:
-            for i in range(1, r):
-                block[i] += block[i - 1]
-        else:
-            np.cumsum(block, axis=0, out=block)
-        block += y
-        block *= up[:r]
-        y = block[-1]
-        yield lo, block
+    else:
+        up = (a ** np.arange(1, rows + 1)).reshape((rows,) + (1,) * (x.ndim - 1))
+        down = gain / up
+        for lo in range(0, n, rows):
+            r = min(rows, n - lo)
+            block = down[:r] * x[lo:lo + r]
+            if width >= _WALK_WIDE:
+                for i in range(1, r):
+                    block[i] += block[i - 1]
+            else:
+                np.cumsum(block, axis=0, out=block)
+            block += y
+            block *= up[:r]
+            y = block[-1]
+            yield lo, block
+    if isinstance(state, np.ndarray):
+        state[...] = y
 
 
-def _triangle_rows(params: OUParams, m: int, x):
+def _drawn_chunks(rng, m: int, cols: int, a, scale=None):
+    """Chunks D[lo:lo+R+1], lo = 0, R, 2R, ... < m - 1, of an m x cols array D of
+    ``_complex_normal`` draws from rng (times ``scale`` if given), drawn in order
+    into one refilled buffer of about ``_CHUNK_ENTRIES`` entries, each chunk's
+    last row carried as the next one's first.  R is a multiple of
+    ``_block_rows(a, cols)``, so ``_ar1_rows`` walks of the chunks but their last
+    rows, state carried, are bitwise one walk of D[:-1]."""
+    step = _block_rows(a, cols)
+    step *= max(1, _CHUNK_ENTRIES // (step * cols))
+    buf = np.empty((min(step, m - 1) + 1, cols), dtype=complex)
+    for lo in range(0, m - 1, step):
+        chunk = buf[:min(step, m - 1 - lo) + 1]
+        if lo:
+            chunk[0] = buf[-1]                 # the last row of the previous, full, chunk
+        fresh = _complex_normal(rng, chunk[1:] if lo else chunk)
+        if scale is not None:
+            fresh *= scale
+        yield chunk
+
+
+def _triangle_rows(params: OUParams, m: int, x, y=0.0):
     """Blocks (lo, rows) of rows 1..m-1 of conj(sqrt(T) K) x (row 0 is zero), K =
     ``numerator_kernel`` on m nodes, row lo of the result first: the ``_ar1_rows``
     walk sum_{j<i} e^(-gamma (t_i - t_j)) x_j plus, at H = 1/2, the band
-    (beta - 1) e^(-gamma dt) x_{i-1}, coarse-grid checked at the call."""
+    (beta - 1) e^(-gamma dt) x_{i-1}, coarse-grid checked at the call; y is
+    the ``_ar1_rows`` state, so x may be a chunk of ``_drawn_chunks``."""
     dt = params.T / m
     a = np.exp(-params.gamma * dt)
-    walk = _ar1_rows(a, x[:-1], gain=a)
+    walk = _ar1_rows(a, x[:-1], gain=a, y=y)
     if params.H != 0.5:
         return walk
     band = (_subdiagonal_factor(params.lam, dt) - 1.0) * a
@@ -530,13 +563,14 @@ def _row_sum(block: np.ndarray) -> np.ndarray:
 
 def _check_draws(m: int, cols: int) -> None:
     """Raise SpaceError, before any draw, where an m x cols block of draws would
-    have more than ``space.ENTRY_CAP`` entries."""
+    have more than ``space.ENTRY_CAP`` entries.  The block is drawn and walked
+    in chunks, so the cap bounds the work of one call, not the memory it holds."""
     if m * cols > ENTRY_CAP:
         raise SpaceError(f"a block of draws needs m x {cols} = {m * cols} entries at m = {m},"
                          f" above the cap {ENTRY_CAP}")
 
 
-_MAX_WORKERS = 4                       # sample_numerator blocks of draws alive at once
+_MAX_WORKERS = 4                       # sample_numerator blocks walked at once, a chunk each
 
 
 def _usable_cores() -> int:
@@ -552,14 +586,14 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> Sam
     Evaluates the quadratic form sum_{j<i} K_{ij} Z_i conj(Z_j) of
     ``numerator_kernel`` by one ``_triangle_rows`` walk down each sample block,
     pairing Z_i with row i conjugated, band included.  The sum accumulates row
-    by row, so cost is O(m N) rather than O(m^2 N) and the block of draws is
-    the only m x block array.
+    by row, so cost is O(m N) rather than O(m^2 N).  A block's draws come in
+    ``_drawn_chunks`` of about 2^18 entries (4 MiB), each walked as it is drawn,
+    so a block holds one chunk and the walk's state, not its m x block draws.
 
     Each block has its own random stream, so blocks run concurrently on one
     thread per usable core, at most ``_MAX_WORKERS`` = 4, and the batch is the
-    same on any core count.  Each worker holds one block of draws, so at most
-    four blocks are alive at once: 4 x 128 MiB while m <= 8192, where a block
-    has at most 8<<20 complex entries.  A block of draws of more than
+    same on any core count.  Each worker holds one chunk, so the draws alive at
+    once stay near 4 x 4 MiB on any grid.  A block of draws of more than
     ``space.ENTRY_CAP`` entries, possible only above m = 16384 since a block
     keeps at least 1024 columns, raises SpaceError before any draw.
     """
@@ -575,13 +609,15 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> Sam
     _check_draws(m, min(block, N))
     values = np.empty(N, dtype=complex)
     n_blocks = (N + block - 1) // block
+    a = np.exp(-params.gamma * (T / m))                         # the walk's step, for its chunks
 
     def fill(ib):
         lo, hi = ib * block, min((ib + 1) * block, N)
-        Z = _complex_normal(_block_rng(seed, ib), (m, hi - lo))
         acc = np.zeros(hi - lo, dtype=complex)
-        for k, rows in _triangle_rows(params, m, Z):
-            acc += _row_sum(Z[1 + k:1 + k + len(rows)] * np.conj(rows))
+        y = np.zeros(hi - lo, dtype=complex)
+        for Z in _drawn_chunks(_block_rng(seed, ib), m, hi - lo, a):
+            for k, rows in _triangle_rows(params, m, Z, y):
+                acc += _row_sum(Z[1 + k:1 + k + len(rows)] * np.conj(rows))
         values[lo:hi] = scale * acc
 
     # imported here: concurrent.futures loads logging, which would add about
@@ -605,9 +641,9 @@ def simulate_path(params: OUParams, grid: GridSpec, seed: int, n_paths: int = 1)
     via the autoregressive recursion Z_{k+1} = e^(-gamma dt) Z_k + eps_k with
     independent circular Gaussian innovations of the exact conditional variance.
 
-    Returns (Z, eps) with shapes (m+1,[ n_paths]) and (m,[ n_paths]).  An
-    m x n_paths block of draws above ``space.ENTRY_CAP`` entries raises
-    SpaceError before any draw.
+    Returns (Z, eps) with shapes (m+1,[ n_paths]) and (m,[ n_paths]), held
+    whole.  An m x n_paths block of draws above ``space.ENTRY_CAP`` entries
+    raises SpaceError before any draw.
     """
     if params.H != 0.5:
         raise InputError("path simulation is implemented for the H = 1/2 branch")
@@ -662,9 +698,10 @@ def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
     the strict off-diagonal double Wiener sum built from it,
     F_T = sum_k dz_k conj(Z_k) / sqrt(T) (diagonal terms are Ito-correction
     artifacts the continuous integral excludes).  F_T and the time average
-    accumulate block by block along the ``_ar1_rows`` walk, so the path is never
-    held whole.  The residual shrinks as the grid refines.  An m x n_paths block
-    of draws above ``space.ENTRY_CAP`` entries raises SpaceError before any draw.
+    accumulate along the ``_ar1_rows`` walk of the increments' ``_drawn_chunks``,
+    so neither increments nor path are held whole.  The residual shrinks as the
+    grid refines.  An m x n_paths block of draws above ``space.ENTRY_CAP``
+    entries raises SpaceError before any draw.
     """
     if params.H != 0.5:
         raise InputError("the identity check is implemented for the H = 1/2 branch")
@@ -675,18 +712,17 @@ def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
     T = params.T
     lam = params.lam
     dt = T / m
-    dz = _complex_normal(_block_rng(seed, 0), (m, n_paths))
-    dz *= sqrt(dt)
-
     a = np.exp(-params.gamma * dt)
     # Z_{k+1} = a (Z_k + dz_k): the walk gives Z_1..Z_{m-1}, paired with dz_1..dz_{m-1}
     # (Z_0 = 0 adds nothing), and one more step the terminal value Z_m
     F = np.zeros(n_paths, dtype=complex)
     sq = np.zeros(n_paths)
-    for lo, rows in _ar1_rows(a, dz[:-1], gain=a):
-        F += _row_sum(dz[1 + lo:1 + lo + len(rows)] * np.conj(rows))
-        sq += _row_sum(rows.real**2 + rows.imag**2)
-    Z_T = a * rows[-1] + a * dz[-1]
+    Z = np.zeros(n_paths, dtype=complex)
+    for dz in _drawn_chunks(_block_rng(seed, 0), m, n_paths, a, scale=sqrt(dt)):
+        for lo, rows in _ar1_rows(a, dz[:-1], gain=a, y=Z):
+            F += _row_sum(dz[1 + lo:1 + lo + len(rows)] * np.conj(rows))
+            sq += _row_sum(rows.real**2 + rows.imag**2)
+    Z_T = a * Z + a * dz[-1]
     F /= sqrt(T)
     lhs = dt / T * sq
 

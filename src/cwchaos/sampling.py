@@ -13,9 +13,10 @@ e_k / sqrt(w_k), tr_k pairing k holomorphic with k antiholomorphic slots, and
 Random streams are SFC64 (Small Fast Chaotic) generators, one per fixed-size
 sample block, each seeded by a ``SeedSequence`` spawn key, so batches are
 bit-reproducible for a given (seed, N, generator version) independent of
-scheduling.  Complex normals are drawn in one call into the float view of
-their complex output, real and imaginary parts interleaved, then scaled by
-1/sqrt(2).
+scheduling.  Complex normals fill the float view of their complex output,
+real and imaginary parts interleaved, and are then scaled by 1/sqrt(2).
+Consecutive fills from one stream draw what one fill of their concatenation
+would, so a caller may draw a block in row chunks, holding one chunk at a time.
 """
 
 from __future__ import annotations
@@ -125,8 +126,9 @@ def _block_rng(seed: int, *spawn_key: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circular standard complex normals (E|Z|^2 = 1) of the given shape.
+def _complex_normal(rng: np.random.Generator, out) -> np.ndarray:
+    """Circular standard complex normals (E|Z|^2 = 1) filling ``out``, a
+    C-contiguous complex array, or a new array of shape ``out``.
 
     One ``standard_normal`` call fills the float view of the complex output,
     so real and imaginary parts are drawn interleaved, entry by entry in
@@ -135,8 +137,9 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     sqrt(2) computes, so the result is bitwise that of dividing one
     (*shape, 2) draw, read as (real, imaginary) pairs, by sqrt(2).
     """
-    out = np.empty(shape, dtype=complex)
-    flat = out.reshape(-1).view(float)
+    if not isinstance(out, np.ndarray):
+        out = np.empty(out, dtype=complex)
+    flat = out.view(float)         # raises, rather than filling a copy, on strided rows
     rng.standard_normal(out=flat)
     flat *= 1.0 / sqrt(2.0)
     return out
@@ -242,8 +245,8 @@ def sliced_wasserstein_2d(x: np.ndarray, y: np.ndarray, K: int = 64, seed: int =
 
 def save_batch(batch: SampleBatch, path) -> None:
     """CSV dump with columns re, im; the header comment carries seed and version."""
+    values = np.asarray(batch.values, dtype=complex)
+    body = "".join([f"{re!r},{im!r}\n"
+                    for re, im in zip(values.real.tolist(), values.imag.tolist())])
     with open(path, "w") as fh:
-        fh.write(f"# {batch.meta}\n")
-        fh.write("re,im\n")
-        for v in batch.values:
-            fh.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
+        fh.write(f"# {batch.meta}\nre,im\n{body}")

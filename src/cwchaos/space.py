@@ -575,10 +575,10 @@ def kernel_to_json(f: Kernel) -> dict:
         "n": f.space.n,
         "p": f.p,
         "q": f.q,
-        "weights": [float(w) for w in f.space.weights],
-        "grid": None if f.space.grid is None else [float(t) for t in f.space.grid],
-        "re": [float(x) for x in flat.real],
-        "im": [float(x) for x in flat.imag],
+        "weights": f.space.weights.tolist(),
+        "grid": None if f.space.grid is None else f.space.grid.tolist(),
+        "re": flat.real.tolist(),
+        "im": flat.imag.tolist(),
     }
 
 
@@ -610,8 +610,8 @@ def kernel_from_json(doc: dict) -> Kernel:
 
 
 def save_kernel(f: Kernel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(kernel_to_json(f), fh)
+    with open(path, "w") as fh:   # one dumps call runs the C encoder, json.dump the Python one
+        fh.write(json.dumps(kernel_to_json(f)))
 
 
 def load_kernel(path) -> Kernel:

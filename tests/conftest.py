@@ -19,8 +19,16 @@ from cwchaos.chaos import (
     pairing_expectation,
     third_moments_closed,
 )
-from cwchaos.ou import GridSpec, RateRow, fbm_gram, numerator_kernel
-from cwchaos.sampling import hermite_hl
+from cwchaos.ou import (
+    GridSpec,
+    RateRow,
+    _row_sum,
+    _triangle_rows,
+    fbm_gram,
+    normalization_factor,
+    numerator_kernel,
+)
+from cwchaos.sampling import _block_rng, _complex_normal, hermite_hl
 from cwchaos.space import (
     Kernel,
     SpaceSpec,
@@ -114,6 +122,32 @@ def stack_blocks(blocks) -> np.ndarray:
         parts.append(rows)
         start += len(rows)
     return np.concatenate(parts)
+
+
+def whole_block_numerator(params, grid, N: int, seed: int) -> np.ndarray:
+    """``sample_numerator``'s values from one ``_triangle_rows`` walk down each
+    sample block's whole m x block draw, held at once: the reference for the
+    sampler's walk of its draws chunk by chunk."""
+    m = grid.m
+    block = max(1024, min(1 << 16, (8 << 20) // m))
+    scale = params.T / m / sqrt(params.T) * normalization_factor(params)
+    values = np.empty(N, dtype=complex)
+    for ib, lo in enumerate(range(0, N, block)):
+        Z = _complex_normal(_block_rng(seed, ib), (m, min(block, N - lo)))
+        acc = np.zeros(Z.shape[1], dtype=complex)
+        for k, rows in _triangle_rows(params, m, Z):
+            acc += _row_sum(Z[1 + k:1 + k + len(rows)] * np.conj(rows))
+        values[lo:lo + Z.shape[1]] = scale * acc
+    return values
+
+
+def one_chunk_draws(rng, m: int, cols: int, a, scale=None):
+    """A stand-in for ``ou._drawn_chunks`` that draws the whole m x cols array in
+    one call and yields it as the only chunk."""
+    D = _complex_normal(rng, (m, cols))
+    if scale is not None:
+        D *= scale
+    yield D
 
 
 def separate_numerator_coeffs(params, grid) -> np.ndarray:

@@ -52,11 +52,13 @@ from conftest import (
     cell_integral_gram,
     dense_fbm_inner,
     generic_whitened_row,
+    one_chunk_draws,
     separate_numerator_coeffs,
     separate_occupation_coeffs,
     sequential_ar1_rows,
     stack_blocks,
     whitened_kernel,
+    whole_block_numerator,
 )
 
 
@@ -569,7 +571,9 @@ WALK_LAM_DT = [1e-5, 1e-3, 1.0, 63.0, 65.0, 300.0, 800.0]     # 800: a underflow
 def test_blocked_walk_matches_sequential(width, m, lam_dt):
     # blocks of rows = min(64, 4096 // width, 64 / (lam dt)) tile Y in order;
     # a one-row block is bitwise the sequential step, a closed-form block within
-    # 1e-13 of the largest |Y|; every value is finite and no warning is raised
+    # 1e-13 of the largest |Y|; every value is finite and no warning is raised.
+    # Resumed: the walk split into pieces of twice the block rows, the last one
+    # short, one state carried through them, is bitwise the single walk
     a = np.exp(-(lam_dt + 0.3j))
     assert (a == 0) == (lam_dt == 800.0)
     shape = (m,) if width is None else (m, width)
@@ -588,6 +592,11 @@ def test_blocked_walk_matches_sequential(width, m, lam_dt):
             assert np.array_equal(got, want)
         else:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        state = np.zeros(shape[1:], dtype=complex)
+        pieces = [stack_blocks(_ar1_rows(a, x[lo:lo + 2 * rows], gain=gain, y=state))
+                  for lo in range(0, m, 2 * rows)]
+        assert np.array_equal(np.concatenate(pieces), got)
+        assert np.array_equal(state, got[-1])
 
 
 def test_denominator_identity_finite_where_the_step_underflows():
@@ -724,6 +733,59 @@ def test_sample_numerator_error_cancels_pending_blocks(monkeypatch):
     with pytest.raises(RuntimeError, match="draw failed"):
         sample_numerator(OUParams(lam=1.0, T=2.0), g, N=40 * 8192, seed=0)
     assert len(calls) < 10
+
+
+def _chunk_blocks(monkeypatch, p, m, cols, blocks):
+    """Shrink ``ou._CHUNK_ENTRIES`` so a chunk of m x cols draws holds ``blocks``
+    walk blocks; returns the walk's block rows."""
+    rows = ou._block_rows(np.exp(-p.gamma * (p.T / m)), cols)
+    monkeypatch.setattr(ou, "_CHUNK_ENTRIES", blocks * rows * cols)
+    return rows
+
+
+@pytest.mark.parametrize("m, N, blocks", [(150, 100, 1), (151, 100, 2), (60, 300, 2),
+                                          (41, 5000, 3), (2, 300, 1), (40, (1 << 16) + 300, 2)],
+                         ids=["cumsum", "cumsum-2", "row-adds", "plain-step", "m2", "two-blocks"])
+def test_sample_numerator_streams_bitwise(monkeypatch, m, N, blocks):
+    # chunks of one to three walk blocks split each sample block's draws, the
+    # last chunk short; the values are bitwise one walk down the whole block
+    p = OUParams(lam=0.8, omega=0.6, T=4.0)
+    rows = _chunk_blocks(monkeypatch, p, m, min(N, 1 << 16), blocks)
+    assert m == 2 or 0 < (m - 1) % (blocks * rows) < blocks * rows < m - 1
+    got = sample_numerator(p, GridSpec(m=m), N=N, seed=23).values
+    assert np.array_equal(got, whole_block_numerator(p, GridSpec(m=m), N, 23))
+
+
+@pytest.mark.parametrize("m, n_paths, blocks", [(150, 100, 1), (151, 100, 2), (60, 300, 2),
+                                                (41, 4096, 3)],
+                         ids=["cumsum", "cumsum-2", "row-adds", "plain-step"])
+def test_denominator_identity_streams_bitwise(monkeypatch, m, n_paths, blocks):
+    # the report from chunked increments, the last chunk short, is bitwise the
+    # report from one draw of all of them walked at once
+    p, g = OUParams(lam=0.8, omega=0.6, T=4.0), GridSpec(m=m)
+    with monkeypatch.context() as patch:
+        patch.setattr(ou, "_drawn_chunks", one_chunk_draws)
+        want = verify_denominator_identity(p, g, seed=7, n_paths=n_paths)
+    rows = _chunk_blocks(monkeypatch, p, m, n_paths, blocks)
+    assert 0 < (m - 1) % (blocks * rows) < blocks * rows < m - 1
+    got = verify_denominator_identity(p, g, seed=7, n_paths=n_paths)
+    assert np.array_equal(list(asdict(got).values()), list(asdict(want).values()))
+
+
+@pytest.mark.parametrize("m", [1024, 1600])
+def test_sample_numerator_holds_a_chunk_not_a_block(m):
+    # N = 8192 is one block of 128 MiB of draws at m = 1024 and two blocks,
+    # 200 MiB, at m = 1600; each worker holds one chunk of about 4 MiB
+    p, g = OUParams(lam=1.0, omega=0.5, T=0.05 * m), GridSpec(m=m)
+    sample_numerator(p, g, N=100, seed=0)       # concurrent.futures is imported on first use
+    tracemalloc.start()
+    try:
+        got = sample_numerator(p, g, N=8192, seed=1).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20
+    assert np.array_equal(got, whole_block_numerator(p, g, 8192, 1))
 
 
 def test_usable_cores_without_affinity(monkeypatch):

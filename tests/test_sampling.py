@@ -14,12 +14,14 @@ from cwchaos.sampling import (
     _BLOCK,
     GENERATOR_VERSION,
     GaussianTarget,
+    SampleBatch,
     _block_rng,
     _complex_normal,
     hermite_hl,
     sample_chaos,
     sample_gaussian,
     sliced_wasserstein_2d,
+    save_batch,
     wasserstein_1d,
 )
 from cwchaos.space import Kernel, SpaceSpec
@@ -224,6 +226,18 @@ def test_complex_normal_matches_one_call_draw(shape):
     got = _complex_normal(_block_rng(31, 2), shape)
     assert got.shape == shape
     assert np.array_equal(got, one_call_complex_normal(_block_rng(31, 2), shape))
+
+
+def test_save_batch_bytes_are_the_line_by_line_dump(tmp_path):
+    # one formatted body is byte for byte the writer that formatted each value
+    # with float() and repr, on signed zeros, subnormals, inf and nan
+    values = np.array([-0.0, 5e-324 - 1j, 0.1 + 0.2j, complex(np.inf, -0.0),
+                       complex(np.nan, 1e300), 1.0 / 3.0 + 2.0**60 * 1j])
+    batch = SampleBatch(values=values, seed=5, meta="m")
+    path = tmp_path / "batch.csv"
+    save_batch(batch, path)
+    want = "# m\nre,im\n" + "".join(f"{float(v.real)!r},{float(v.imag)!r}\n" for v in values)
+    assert path.read_bytes() == want.encode()
 
 
 # -- Gaussian reference sampler ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 import tracemalloc
@@ -704,6 +705,24 @@ def test_kernel_json_roundtrip_bit_exact(rng, tmp_path):
     assert np.array_equal(f.space.weights, g.space.weights)
     assert np.array_equal(f.space.grid, g.space.grid)
     assert (g.p, g.q) == (2, 1)
+
+
+@pytest.mark.parametrize("grid", [None, np.array([-0.0, 1e-310, 0.7])])
+def test_saved_kernel_bytes_are_the_streamed_dump_of_float_lists(tmp_path, grid):
+    # the file is byte for byte a json.dump of per-element float() lists, on
+    # signed zeros, subnormals and values whose repr needs all 17 digits
+    sp = SpaceSpec(3, weights=np.array([0.1, 1e300, 2.0 / 3.0]), grid=grid)
+    coeffs = np.array([-0.0, 5e-324, 1.0, 0.1 + 0.2, -1.5e-17, 2.0**60, 3.0, 1.0 / 3.0, 7.0])
+    f = Kernel(sp, 1, 1, coeffs + 1j * coeffs[::-1])
+    flat = f.coeffs.reshape(-1)
+    doc = {"n": 3, "p": 1, "q": 1, "weights": [float(w) for w in sp.weights],
+           "grid": None if grid is None else [float(t) for t in sp.grid],
+           "re": [float(x) for x in flat.real], "im": [float(x) for x in flat.imag]}
+    path, want = tmp_path / "kernel.json", tmp_path / "want.json"
+    save_kernel(f, path)
+    with open(want, "w") as fh:
+        json.dump(doc, fh)
+    assert path.read_bytes() == want.read_bytes()
 
 
 def test_kernel_json_malformed():
