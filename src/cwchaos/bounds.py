@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import permutations
-from math import comb, factorial, sqrt
+from math import comb, factorial, isfinite, sqrt
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .chaos import (
     pairing_expectation,
     third_moments_closed,
 )
-from .space import InputError, Kernel, SpaceError, norm_sq, symmetrize
+from .space import InputError, Kernel, SpaceError, _json_finite, norm_sq, symmetrize
 
 __all__ = [
     "NonCircularError",
@@ -72,8 +72,8 @@ class SingularCovarianceError(InputError):
 
 
 def _is_circular(pseudo_max: float, var_max: float, tol: float) -> bool:
-    """The circularity gate: largest |pseudo-moment| <= tol x largest variance."""
-    return pseudo_max <= tol * var_max  # NaN fails
+    """The circularity gate: largest |pseudo-moment| <= tol x largest variance, a finite one."""
+    return isfinite(var_max) and pseudo_max <= tol * var_max  # NaN fails
 
 
 def _check_nonsingular(lambda_min: float, lambda_max: float) -> None:
@@ -254,7 +254,7 @@ class BoundReport:
     cross_terms: list[CrossTerm]
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return _json_finite(asdict(self))
 
 
 def _single_order_kernels(F: ChaosVector) -> list[Kernel]:
@@ -303,7 +303,7 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
     bound = 2.0 * sqrt(d * lambda_max) / lambda_min * sqrt(max(quartic, 0.0))
 
     tables = [fmt_norms(k) for k in kernels]
-    own = [sum(v * v for v in table.values()) for table in tables]
+    own = [contraction_sum_sq(k) for k in kernels]
     orders = [(k.p, k.q) for k in kernels]
     nsq = [norm_sq(k) for k in kernels]
     cross: list[CrossTerm] = []
@@ -343,14 +343,14 @@ class CircularityReport:
     note: str = "vanishing pseudo-covariance is necessary, not sufficient"
 
     def to_json(self) -> dict:
-        return {
+        return _json_finite({
             "pseudo_re": self.pseudo.real.tolist(),
             "pseudo_im": self.pseudo.imag.tolist(),
             "max_abs": self.max_abs,
             "tol": self.tol,
             "passed": self.passed,
             "note": self.note,
-        }
+        })
 
 
 def circularity_check(F: ChaosVector, tol: float = CIRCULAR_TOL) -> CircularityReport:
@@ -380,7 +380,7 @@ class CltReport:
     tail_mass: float
 
     def to_json(self) -> dict:
-        return {
+        return _json_finite({
             "variances": {f"{p},{q}": v for (p, q), v in sorted(self.variances.items())},
             "total_variance": self.total_variance,
             "contractions": {
@@ -389,7 +389,7 @@ class CltReport:
             },
             "truncation_order": self.truncation_order,
             "tail_mass": self.tail_mass,
-        }
+        })
 
 
 def clt_conditions(F: ChaosVariable, M: int) -> CltReport:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb, factorial, isfinite, isnan, nan
+from math import comb, factorial, isnan, nan
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .space import (
     SpaceError,
     SpaceSpec,
     _contract_orbit_sums,
+    _json_finite,
     _json_int,
     _orbit_norm_sq,
     _sym_norm_sq,
@@ -267,10 +268,10 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
 
     * ``"moments"`` -- product-formula moment engine: E|F|^4 = |E F^2|^2, which the
       gap cancels, plus the norms of F^2's symmetrized orders, read from the orbit
-      sums that each contraction forms in orbit coordinates and streams into
-      (``space._contract_orbit_sums``), so f (x) f is never held, only slabs of
-      its orbit-pair products; SpaceError, before any product, when n^(2(p+q))
-      exceeds ``space.ENTRY_CAP``;
+      sums that each contraction of F's symmetric terms forms in orbit coordinates
+      and streams into (``space._contract_orbit_sums``), so f (x) f is never held,
+      only slabs of its orbit-pair products; SpaceError, before any product, when
+      n^(2(p+q)) exceeds ``space.ENTRY_CAP``;
     * ``"v1"`` -- contraction sum over f (x)_{i,j} h plus the phi_r groups, the
       f_1 = f_2 case of :func:`cov_abs_sq`'s groups;
     * ``"v2"`` -- the same expansion at f_2 = h, the reverse conjugate of f,
@@ -416,7 +417,7 @@ class MomentReport:
 
     def to_json(self) -> dict:
         """The report's numbers, with None (JSON null) for a non-finite one."""
-        doc = {
+        return _json_finite({
             "var_abs": self.var_abs,
             "pseudo_re": self.pseudo.real,
             "pseudo_im": self.pseudo.imag,
@@ -428,8 +429,7 @@ class MomentReport:
             "gap_v1": self.gap_v1,
             "gap_v2": self.gap_v2,
             "route_spread": self.route_spread(),
-        }
-        return {key: value if isfinite(value) else None for key, value in doc.items()}
+        })
 
 
 def _second_moments(f: Kernel) -> tuple[float, complex]:

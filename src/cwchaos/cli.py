@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isfinite
 
 from . import __version__
 from .bounds import (
@@ -25,6 +24,7 @@ from .bounds import (
     be_upper_multivariate,
     circularity_check,
     clt_conditions,
+    contraction_sum_sq,
     fmt_norms,
     gap_sandwich_constants,
 )
@@ -43,7 +43,7 @@ from .ou import (
     verify_denominator_identity,
 )
 from .sampling import sample_chaos, save_batch
-from .space import InputError, SpaceError, load_kernel
+from .space import InputError, SpaceError, _json_finite, load_kernel
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -123,7 +123,7 @@ def cmd_bound(args) -> int:
         doc["be_upper_circular"] = be_upper_circular(kern, circular_tol=args.circular_tol)
     except NonCircularError:
         doc["be_upper_circular"] = None
-    _write(json.dumps(doc, indent=2), args.output)
+    _write(json.dumps(_json_finite(doc), indent=2), args.output)
     return EXIT_OK
 
 
@@ -131,7 +131,7 @@ def cmd_fmt_check(args) -> int:
     kern = load_kernel(args.kernel)
     table = fmt_norms(kern)
     c1, c2 = gap_sandwich_constants(kern.p, kern.q)
-    csum = sum(v * v for v in table.values())
+    csum = contraction_sum_sq(kern)
     c1_sum, gap, c2_sum = c1 * csum, fourth_gap(kern, "v1"), c2 * csum
     sandwich = {"c1_sum": c1_sum, "gap": gap, "c2_sum": c2_sum}
     if args.format == "csv":
@@ -139,9 +139,8 @@ def cmd_fmt_check(args) -> int:
         lines += [f"# {key}={value!r}" for key, value in sandwich.items()]
         _write("\n".join(lines) + "\n", args.output)
     else:
-        doc = {"fmt_norms": {f"{i},{j}": v for (i, j), v in sorted(table.items())},
-               **{key: value if isfinite(value) else None for key, value in sandwich.items()}}
-        _write(json.dumps(doc, indent=2), args.output)
+        doc = {"fmt_norms": {f"{i},{j}": v for (i, j), v in sorted(table.items())}, **sandwich}
+        _write(json.dumps(_json_finite(doc), indent=2), args.output)
     # the main theorem's sandwich c1 sum <= gap <= c2 sum of the contraction norms
     if not (c1_sum <= gap * (1 + SANDWICH_SLACK)
             and gap <= c2_sum * (1 + SANDWICH_SLACK)):  # NaN fails

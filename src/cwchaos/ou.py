@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import BoundInputs
 from .sampling import GENERATOR_VERSION, SampleBatch, _block_rng, _complex_normal
-from .space import ENTRY_CAP, InputError, Kernel, SpaceError, SpaceSpec
+from .space import ENTRY_CAP, InputError, Kernel, SpaceError, SpaceSpec, _json_finite
 
 __all__ = [
     "OUParams",
@@ -683,7 +683,7 @@ class DenominatorReport:
     diff_se: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return _json_finite(asdict(self))
 
 
 def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,

@@ -27,7 +27,7 @@ from math import comb, factorial, isfinite, pi, sqrt
 import numpy as np
 
 from .chaos import ChaosVariable
-from .space import InputError, _apply_weights
+from .space import InputError, SpaceSpec, _apply_weights
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -184,7 +184,8 @@ def sample_chaos(F: ChaosVariable, N: int, seed: int) -> SampleBatch:
         raise InputError("N must be >= 1")
     n = F.space.n
     # coefficients in the orthonormalized basis e_k / sqrt(w_k)
-    prepared = [(p, q, _apply_weights(kern.coeffs, np.sqrt(kern.space.weights), range(p + q)))
+    root = SpaceSpec(n, np.sqrt(F.space.weights))
+    prepared = [(p, q, _apply_weights(kern.coeffs, root, range(p + q)))
                 for (p, q), kern in F.terms.items()]
     values = np.empty(N, dtype=complex)
     for ib, lo in enumerate(range(0, N, _BLOCK)):

@@ -17,9 +17,9 @@ Conventions:
   antiholomorphic slots of ``f`` with the *last* ``j`` holomorphic slots of
   ``g``.  No factor is conjugated.  For symmetric kernels the slot choice is
   immaterial; for raw kernels this fixed convention is part of the API.  It is
-  one matrix product, weighted once on the contracted side.  Its orbit sums, as
-  symmetrization reads them, also come slab by slab: over the orbits of each
-  factor's groups of axes for symmetric kernels, reduced through pair tables.
+  one matrix product, weighted once on the contracted side.  For symmetric
+  kernels its orbit sums, as symmetrization reads them, also come slab by slab:
+  over the orbits of each factor's groups of axes, reduced through pair tables.
 
 Kernels are immutable after construction and safe to share across threads.
 Each keeps a private memo of what is derived from it for as long as it lives:
@@ -245,22 +245,16 @@ class Kernel:
 # -- weighted inner product --------------------------------------------------
 
 
-def _apply_weights(arr: np.ndarray, weights, axes) -> np.ndarray:
-    """Multiply one weight factor along each of the given axes, by one product.
-
-    ``weights`` is a SpaceSpec, whose weight products are kept, or a vector of
-    per-slot weights (the sampler's square roots), whose product is formed for
-    this call.  Unit weights return ``arr`` itself.
-    """
-    space = weights if isinstance(weights, SpaceSpec) else SpaceSpec(len(weights), weights)
-    axes = list(axes)
-    prod = space._weight_product(len(axes))
-    if prod is None:
+def _apply_weights(arr: np.ndarray, space: SpaceSpec, axes) -> np.ndarray:
+    """Multiply one weight factor of ``space`` along each of the given axes, listed in
+    increasing order, by the space's kept product; ``arr`` itself when every weight is 1
+    or there are no axes, since x * 1.0 == x needs no multiply."""
+    if space._unit or not axes:
         return arr
     shape = [1] * arr.ndim
     for ax in axes:
         shape[ax] = space.n
-    return arr * prod.reshape(shape)
+    return arr * space._weight_product(len(axes)).reshape(shape)
 
 
 def inner_product(f: Kernel, g: Kernel) -> complex:
@@ -269,9 +263,7 @@ def inner_product(f: Kernel, g: Kernel) -> complex:
     Conjugate-symmetric in its arguments; <f, f> is real and nonnegative.
     """
     f._check_peer(g)
-    prod = f.space._weight_product(f.degree)
-    fw = f.coeffs if prod is None else f.coeffs * prod.reshape(f.coeffs.shape)
-    return complex(np.vdot(g.coeffs, fw))
+    return complex(np.vdot(g.coeffs, _apply_weights(f.coeffs, f.space, range(f.degree))))
 
 
 def norm_sq(f: Kernel) -> float:
@@ -428,11 +420,8 @@ def _orbit_norm_sq(sums: np.ndarray, space: SpaceSpec, p: int, q: int) -> float:
     member, read in slabs of rows so that no temporary is as large as S."""
     wx, wy = ((1.0 if w is None else w[flat]) / size for w, (_, flat, size) in
               ((space._weight_product(k), _codes(space.n, k)) for k in (p, q)))
-    step, total = max(1, _SLAB_ENTRIES // sums.shape[1]), 0.0
-    for r in range(0, len(sums), step):
-        s = sums[r:r + step]
-        total += wx[r:r + step] @ ((s.real ** 2 + s.imag ** 2) @ wy)
-    return float(total)
+    return float(sum(w @ ((s.real ** 2 + s.imag ** 2) @ wy) for s, w in
+                     zip(_row_slabs(sums, sums.shape[1]), _row_slabs(wx, sums.shape[1]))))
 
 
 def _sym_norm_sq(raw: Kernel) -> float:
@@ -485,10 +474,9 @@ def contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     if not f.space.same_as(g.space):
         raise SpaceError("kernels live on different spaces")
     f_axes, g_axes, sizes, _, order, shape = _contract_plan(f.space.n, f.p, f.q, g.p, g.q, i, j)
-    ft = f.coeffs.transpose(f_axes).reshape(sizes[0] * sizes[1], -1)
-    if i + j and not f.space._unit:
-        ft = ft * f.space._weight_product(i + j)
-    out = np.matmul(ft, g.coeffs.transpose(g_axes).reshape(-1, sizes[2] * sizes[3]))
+    fw = _apply_weights(f.coeffs, f.space, f_axes[len(f_axes) - i - j:])
+    out = np.matmul(fw.transpose(f_axes).reshape(sizes[0] * sizes[1], -1),
+                    g.coeffs.transpose(g_axes).reshape(-1, sizes[2] * sizes[3]))
     out = np.ascontiguousarray(out.reshape(sizes).transpose(order))
     return Kernel._wrap(f.space, f.p + g.p - i - j, f.q + g.q - i - j, out.reshape(shape))
 
@@ -505,20 +493,20 @@ def _pair_table(n: int, k1: int, k2: int) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _orbit_plan(n: int, a: int, b: int, c: int, d: int, i: int, j: int, sym: bool):
+def _orbit_plan(n: int, a: int, b: int, c: int, d: int, i: int, j: int):
     """``_contract_plan`` over the orbits of each group of free or contracted axes of symmetric
-    f and g (over its multi-indices unless ``sym``): flip, the counts [f X, f Y, g X, g Y], the
-    builders of the X and Y blocks' tables, and for f as [f X, f Y | C_i, C_j] and g as [C_i,
-    C_j | g X, g Y] the shape and axis order of a view by groups, then the flat index of one
-    member of each orbit of each group, and its multiplicity: |A| of free orbits A, times |C|
-    of contracted orbits C on f's side, which carries the contracted sum once.  The last
-    two are None where no group has two axes; else they take 16 bytes a factor entry."""
+    f and g: flip, the orbit counts [f X, f Y, g X, g Y], the builders of the X and Y blocks'
+    ``_pair_table``, and for f as [f X, f Y | C_i, C_j] and g as [C_i, C_j | g X, g Y] the
+    shape and axis order of a view by groups, then the flat index of one member of each orbit
+    of each group, and its multiplicity: |A| of free orbits A, times |C| of contracted orbits
+    C on f's side, which carries the contracted sum once.  The last two are None where no
+    group has two axes; else they take 16 bytes a factor entry."""
     flip, (fh, fa, gh, ga) = _contract_plan(n, a, b, c, d, i, j)[3], (a - i, b - j, c - j, d - i)
     fg, gg = ((fa, fh, i, j), (i, j, ga, gh)) if flip else ((fh, fa, i, j), (i, j, gh, ga))
-    counts = tuple(len(_codes(n, k)[1]) if sym else n ** k for k in (*fg[:2], *gg[2:]))
+    counts = tuple(len(_codes(n, k)[1]) for k in (*fg[:2], *gg[2:]))
 
     def side(groups, shape, order, free):  # ``free``: the first group counted
-        if not sym or max(groups) < 2:
+        if max(groups) < 2:
             return shape, order, None, None
         reps = [_codes(n, k) for k in groups]
         idx = np.arange(math.prod(shape)).reshape(shape).transpose(order)
@@ -526,28 +514,27 @@ def _orbit_plan(n: int, a: int, b: int, c: int, d: int, i: int, j: int, sym: boo
         return shape, order, idx.ravel(), reduce(np.multiply.outer, [
             r[2] if x >= free else np.ones(len(r[2])) for x, r in enumerate(reps)]).ravel()
 
-    tables = [None if k1 + k2 < 2 else partial(_cached_below, _pair_table, m, n, k1, k2) if sym
-              else partial(_cached_below, _orbit_table, m, n, k1 + k2) for k1, k2, m in
-              ((fg[0], gg[2], counts[0] * counts[2]), (fg[1], gg[3], counts[1] * counts[3]))]
+    tables = [None if k1 + k2 < 2 else partial(_cached_below, _pair_table, m, n, k1, k2)
+              for k1, k2, m in ((fg[0], gg[2], counts[0] * counts[2]),
+                                (fg[1], gg[3], counts[1] * counts[3]))]
     return (flip, counts, tables,
             side(fg, (n ** fh, n ** i, n ** fa, n ** j), (2, 0, 1, 3) if flip else (0, 2, 1, 3), 0),
             side(gg, (n ** gh, n ** j, n ** ga, n ** i), (3, 1, 2, 0) if flip else (3, 1, 0, 2), 2))
 
 
 def _contract_orbit_sums(f: Kernel, g: Kernel, i: int, j: int, coef) -> np.ndarray:
-    """The ``_orbit_sums`` (holomorphic block first) of coef * contract(f, g, i, j), in orbit
-    coordinates for symmetric kernels: ``_orbit_plan`` reads each factor at one member per
-    orbit of its groups of axes, f weighted once on its contracted slots, and the [f X, g X |
-    f Y, g Y] product, formed in slabs of f's leading X rows, reduces through each output
-    block's ``_pair_table`` (raw kernels: all multi-indices and the block's orbit table).
-    coef scales g's factor, so the sums are never copied."""
+    """The ``_orbit_sums`` (holomorphic block first) of coef * contract(f, g, i, j) for symmetric f
+    and g, as route "moments" takes them from a ChaosVariable (raw kernels reach orbit sums by
+    ``_kernel_orbit_sums``), in orbit coordinates: ``_orbit_plan`` reads each factor at one member
+    per orbit of its groups of axes, f weighted once on its contracted slots, and the [f X, g X |
+    f Y, g Y] product, in slabs of f's leading X rows, reduces through each output block's
+    ``_pair_table``; coef scales g's factor, so the sums are never copied."""
     if not f.space.same_as(g.space):
         raise SpaceError("kernels live on different spaces")
-    n, sym = f.space.n, f.symmetric and g.symmetric
-    flip, (nfx, nfy, ngx, ngy), tables, *sides = _orbit_plan(n, f.p, f.q, g.p, g.q, i, j, sym)
-    fv, gv = f.coeffs.reshape(sides[0][0]), g.coeffs.reshape(sides[1][0])
-    if i + j and not f.space._unit:
-        fv = fv * f.space._weight_product(i + j).reshape(1, n ** i, 1, n ** j)
+    flip, (nfx, nfy, ngx, ngy), tables, *sides = _orbit_plan(f.space.n, f.p, f.q, g.p, g.q, i, j)
+    f_axes = _contract_plan(f.space.n, f.p, f.q, g.p, g.q, i, j)[0]
+    fv = _apply_weights(f.coeffs, f.space, f_axes[len(f_axes) - i - j:]).reshape(sides[0][0])
+    gv = g.coeffs.reshape(sides[1][0])
     ft, gt = (v.transpose(order) if idx is None else v.reshape(-1).take(idx) * mul
               for v, (_, order, idx, mul) in zip((fv, gv), sides))
     ft, gt = ft.reshape(nfx * nfy, -1), gt.reshape(-1, ngx * ngy)
@@ -588,6 +575,18 @@ def _json_int(doc: dict, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise SpaceError(f"{key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _json_finite(value):
+    """``value`` with each non-finite float, in nested dicts and lists too (complex parts come
+    as lists), made None: json.dumps would write the non-JSON tokens NaN and Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_finite(item) for item in value]
+    return value
 
 
 def kernel_from_json(doc: dict) -> Kernel:

@@ -244,8 +244,9 @@ def profile_sample(F, Z: np.ndarray) -> np.ndarray:
     """
     n, nb = Z.shape
     out = np.full(nb, F.constant, dtype=complex)
+    root = SpaceSpec(n, np.sqrt(F.space.weights))
     for (p, q), kern in F.terms.items():
-        coeffs = _apply_weights(kern.coeffs, np.sqrt(kern.space.weights), range(p + q))
+        coeffs = _apply_weights(kern.coeffs, root, range(p + q))
         for coef, mult, counts in _profiles(coeffs, p, q, n):
             term = np.full(nb, coef * mult, dtype=complex)
             for k, a, b in counts:

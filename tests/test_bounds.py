@@ -480,6 +480,16 @@ def test_multivariate_bound_scales_linearly(s):
     assert rep.bound == pytest.approx(s * one.bound, rel=1e-12)
 
 
+def test_circularity_check_fails_an_infinite_scale():
+    # entries of 1e200 are finite, but the variance overflows: inf <= 1e-8 x inf would
+    # pass, so an infinite scale fails the gate like NaN
+    sp = SpaceSpec.orthonormal(2)
+    F = ChaosVector([ChaosVariable.from_kernel(Kernel(sp, 1, 1, np.full((2, 2), 1e200)))])
+    with np.errstate(all="ignore"):
+        rep = circularity_check(F)
+    assert not rep.passed and rep.max_abs == np.inf
+
+
 @pytest.mark.parametrize("s", SCALES)
 def test_circularity_check_is_scale_free(sp4, s):
     real = Kernel.basis(sp4, (0,), (0,))  # E F^2 = E|F|^2

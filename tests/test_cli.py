@@ -383,6 +383,60 @@ def test_circularity_exit_codes(files, tmp_path):
     assert main(["circularity", str(bad), "-o", str(tmp_path / "c2.json")]) == 3
 
 
+def _overflowing_files(tmp_path) -> dict:
+    """Kernel, chaos and vector files of a (1,1) kernel on two unit-weight points with every
+    entry 1e200: finite, so kernel_from_json accepts it, but its variance overflows to inf."""
+    kern = _kernel_doc(re=[1e200] * 4, im=[0.0] * 4)
+    docs = {"kernel": kern, "chaos": {"constant_re": 0.0, "constant_im": 0.0,
+                                      "terms": [{"p": 1, "q": 1, "kernel": kern}]},
+            "vector": {"components": [{"p": 1, "q": 1, "kernel": kern}]}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(tmp_path / f"{name}.json") for name in docs}
+
+
+def _strict_json(path) -> dict:
+    return json.loads(path.read_text(), parse_constant=lambda t: pytest.fail(f"non-JSON token {t}"))
+
+
+def test_circularity_fails_an_infinite_scale(tmp_path):
+    # inf <= 1e-8 x inf would pass the gate; an infinite variance fails it, as NaN does
+    out = tmp_path / "c.json"
+    with np.errstate(all="ignore"):  # the overflow itself is the case under test
+        assert main(["circularity", _overflowing_files(tmp_path)["vector"], "-o", str(out)]) == 3
+    doc = _strict_json(out)
+    assert doc["passed"] is False and doc["max_abs"] is None
+
+
+@pytest.mark.parametrize("argv, code, nulls", [
+    (["moments", "{kernel}"], 3, ["var_abs", "gap_v1", "route_spread"]),
+    (["fmt-check", "{kernel}"], 3, ["fmt_norms.0,1", "fmt_norms.1,0", "gap", "c1_sum"]),
+    (["clt-check", "{chaos}", "--truncate", "2"], 0,
+     ["variances.1,1", "total_variance", "contractions.1,1.0,1"]),
+    (["circularity", "{vector}"], 3, ["max_abs"]),
+], ids=["moments", "fmt-check", "clt-check", "circularity"])
+def test_json_commands_write_null_for_non_finite_numbers(tmp_path, argv, code, nulls):
+    # every number that overflows is written as null, never as NaN or Infinity
+    paths, out = _overflowing_files(tmp_path), tmp_path / "out.json"
+    with np.errstate(all="ignore"):
+        assert main([arg.format(**paths) for arg in argv] + ["-o", str(out)]) == code
+    doc = _strict_json(out)
+    for key in nulls:
+        value = doc
+        for part in key.split("."):
+            value = value[part]
+        assert value is None, key
+
+
+def test_bound_of_an_overflowing_kernel_writes_nothing(tmp_path):
+    # its covariance is NaN, so both bounds refuse it as bad input before any report
+    paths, out = _overflowing_files(tmp_path), tmp_path / "out.json"
+    with np.errstate(all="ignore"):
+        assert main(["bound", "--kernel", paths["kernel"], "-o", str(out)]) == 2
+        assert main(["bound", "--vector", paths["vector"], "-o", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sample_writes_csv(files, tmp_path):
     out = tmp_path / "batch.csv"
     assert main(["sample", "--kernel", str(files / "k11.json"), "-N", "500",

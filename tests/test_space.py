@@ -136,11 +136,12 @@ def test_inner_product_quadrature_matches_closed_form():
 
 
 def test_apply_weights_skips_only_unit_weights():
-    # unit weights return the array itself (x * 1.0 == x); a space with some
-    # unit weights still weighs every slot
+    # unit weights, or no axes, return the array itself (x * 1.0 == x); a space
+    # with some unit weights still weighs every slot
     arr = np.ones((2, 2), dtype=complex)
-    assert _apply_weights(arr, np.ones(2), (0, 1)) is arr
+    assert _apply_weights(arr, SpaceSpec.orthonormal(2), (0, 1)) is arr
     sp = SpaceSpec(2, weights=np.array([1.0, 2.0]))
+    assert _apply_weights(arr, sp, ()) is arr
     assert norm_sq(Kernel.basis(sp, (1,), (1,))) == 4.0
 
 
@@ -424,22 +425,22 @@ def test_contract_sweep_matches_reference(rng, f_order, weighted):
 
 
 def _slab_entries(n, a, b, c, d, i, j, rows_per_slab):
-    """A ``_SLAB_ENTRIES`` that puts ``rows_per_slab`` leading rows of f in a slab."""
-    nfy, ngx, ngy = space._contract_plan(n, a, b, c, d, i, j)[2][1:]
+    """A ``_SLAB_ENTRIES`` that puts ``rows_per_slab`` of f's leading X orbits in a slab."""
+    nfy, ngx, ngy = space._orbit_plan(n, a, b, c, d, i, j)[1][1:]
     return rows_per_slab * nfy * ngx * ngy
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("rows_per_slab", [1, 2])
 def test_contract_orbit_sums_match_reduced_contraction(rng, monkeypatch, weighted, rows_per_slab):
-    # every pair of orders with p + q <= 3 and every legal (i, j) at n = 3: one
-    # leading row of f per slab, or two, which leaves a short last slab of the
-    # 3^k rows; the oracle reduces the whole contraction in one slab
+    # symmetric f and g of every pair of orders with p + q <= 3, at every legal (i, j)
+    # at n = 3: one leading X orbit of f per slab, or two, which leaves a short last slab
+    # of its 3 or 6 or 10 orbits; the oracle reduces the whole contraction in one slab
     sp = random_space(rng, 3, weighted=weighted)
     split = 0
     for (a, b), (c, d) in product(SMALL_ORDERS, repeat=2):
-        f = random_kernel(rng, sp, a, b, symmetric=False)
-        g = random_kernel(rng, sp, c, d, symmetric=False)
+        f = random_kernel(rng, sp, a, b)
+        g = random_kernel(rng, sp, c, d)
         for i in range(min(a, d) + 1):
             for j in range(min(b, c) + 1):
                 coef = math.comb(a, i) * math.factorial(j) + 0.5
@@ -450,7 +451,7 @@ def test_contract_orbit_sums_match_reduced_contraction(rng, monkeypatch, weighte
                     got = space._contract_orbit_sums(f, g, i, j, coef)
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-                split += space._contract_plan(3, a, b, c, d, i, j)[2][0] > rows_per_slab
+                split += space._orbit_plan(3, a, b, c, d, i, j)[1][0] > rows_per_slab
     assert split > 50  # most cases stream more than one slab
 
 
@@ -492,7 +493,7 @@ def test_orbit_coordinates_match_reduced_contraction(rng, monkeypatch, n, weight
             for i, j in product(range(min(a, g.q) + 1), range(min(b, g.p) + 1)):
                 coef = math.comb(a, i) * math.factorial(j) + 0.5
                 ref = coef * space._kernel_orbit_sums(contract(f, g, i, j))[0]
-                nfx, nfy, ngx, ngy = space._orbit_plan(n, a, b, g.p, g.q, i, j, True)[1]
+                nfx, nfy, ngx, ngy = space._orbit_plan(n, a, b, g.p, g.q, i, j)[1]
                 with monkeypatch.context() as m:
                     m.setattr(space, "_SLAB_ENTRIES", max(1, nfx - 1) * nfy * ngx * ngy)
                     got = space._contract_orbit_sums(f, g, i, j, coef)
@@ -501,7 +502,7 @@ def test_orbit_coordinates_match_reduced_contraction(rng, monkeypatch, n, weight
                 short += nfx > 2
     assert short > 15
     # the (2,2) square runs over the 10 orbits of each free pair, not its 16 entries
-    assert space._orbit_plan(4, 2, 2, 2, 2, 0, 0, True)[1] == (10, 10, 10, 10)
+    assert space._orbit_plan(4, 2, 2, 2, 2, 0, 0)[1] == (10, 10, 10, 10)
 
 
 def test_orbit_coordinates_keep_a_nan_in_the_last_slab(rng, monkeypatch):
@@ -512,7 +513,7 @@ def test_orbit_coordinates_keep_a_nan_in_the_last_slab(rng, monkeypatch):
     coeffs = random_kernel(rng, sp, 2, 2, symmetric=False).coeffs.copy()
     coeffs[2, 2, 0, 1] = np.nan
     f = symmetrize(Kernel(sp, 2, 2, coeffs))
-    nfx, nfy, ngx, ngy = space._orbit_plan(3, 2, 2, 2, 2, 0, 0, True)[1]
+    nfx, nfy, ngx, ngy = space._orbit_plan(3, 2, 2, 2, 2, 0, 0)[1]
     assert nfx == 6
     monkeypatch.setattr(space, "_SLAB_ENTRIES", 4 * nfy * ngx * ngy)
     sums = space._contract_orbit_sums(f, f, 0, 0, 1)
@@ -723,6 +724,20 @@ def test_saved_kernel_bytes_are_the_streamed_dump_of_float_lists(tmp_path, grid)
     with open(want, "w") as fh:
         json.dump(doc, fh)
     assert path.read_bytes() == want.read_bytes()
+
+
+def test_json_finite_nulls_only_non_finite_floats():
+    # NaN and both infinities become null at any depth; every finite value, and so the
+    # dumped text of a finite report, is kept as it is
+    pseudo = np.array([[np.inf + 1j * np.nan, 0.1 - 2.5j]])
+    doc = {"re": pseudo.real.tolist(), "im": pseudo.imag.tolist(), "x": np.float64(-np.inf),
+           "t": (1.5, float("nan")), "nested": {"a": [np.float64(0.3), -0.0]},
+           "n": 3, "ok": True, "note": "text", "none": None}
+    assert space._json_finite(doc) == {
+        "re": [[None, 0.1]], "im": [[None, -2.5]], "x": None, "t": [1.5, None],
+        "nested": {"a": [0.3, -0.0]}, "n": 3, "ok": True, "note": "text", "none": None}
+    finite = {"a": [1e-300, 1.7976931348623157e308, -0.0], "b": {"c": np.float64(2.0) / 3}}
+    assert json.dumps(space._json_finite(finite)) == json.dumps(finite)
 
 
 def test_kernel_json_malformed():
