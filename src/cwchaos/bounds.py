@@ -77,7 +77,9 @@ def _is_circular(pseudo_max: float, var_max: float, tol: float) -> bool:
 
 
 def _check_nonsingular(lambda_min: float, lambda_max: float) -> None:
-    """The nonsingular gate: smallest covariance eigenvalue > 1e-12 x largest."""
+    """The nonsingular gate: a finite largest covariance eigenvalue, the smallest > 1e-12 x it."""
+    if not isfinite(lambda_max):
+        raise InputError(f"non-finite covariance: {lambda_min=:.3e}, {lambda_max=:.3e}")
     if not lambda_min > 1e-12 * lambda_max:  # NaN fails
         raise SingularCovarianceError(f"singular covariance: {lambda_min=:.3e}, {lambda_max=:.3e}")
 

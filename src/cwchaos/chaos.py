@@ -31,7 +31,6 @@ from math import comb, factorial, isnan, nan
 import numpy as np
 
 from .space import (
-    ENTRY_CAP,
     InputError,
     Kernel,
     SpaceError,
@@ -270,8 +269,8 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
       gap cancels, plus the norms of F^2's symmetrized orders, read from the orbit
       sums that each contraction of F's symmetric terms forms in orbit coordinates
       and streams into (``space._contract_orbit_sums``), so f (x) f is never held,
-      only slabs of its orbit-pair products; SpaceError, before any product, when
-      n^(2(p+q)) exceeds ``space.ENTRY_CAP``;
+      only slabs of its orbit-pair products; its first pairing, (0, 0), has n^(2(p+q))
+      output entries, which ``space._check_entries`` refuses before any product;
     * ``"v1"`` -- contraction sum over f (x)_{i,j} h plus the phi_r groups, the
       f_1 = f_2 case of :func:`cov_abs_sq`'s groups;
     * ``"v2"`` -- the same expansion at f_2 = h, the reverse conjugate of f,
@@ -287,9 +286,6 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
     if l < 1:
         raise SpaceError("fourth_gap needs p + q >= 1")
     if route == "moments":
-        if f.space.n ** (2 * l) > ENTRY_CAP:
-            raise SpaceError(f"the moments route streams a product of n^(2(p+q)) = "
-                             f"{f.space.n ** (2 * l)} entries, above the cap {ENTRY_CAP}")
         F = ChaosVariable.from_kernel(f)
         s2 = factorial(p) * factorial(q) * norm_sq(f)
         return sum(factorial(k) * factorial(kp) * _orbit_norm_sq(s, f.space, k, kp) for (k, kp), s

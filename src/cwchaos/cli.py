@@ -1,9 +1,9 @@
 """Command-line surface: files in, reports out, CI-friendly exit codes.
 
-Exit codes: 0 on success, 2 on validation failures (``InputError``, unreadable
-or non-JSON files, flag values argparse refuses), 3 on tolerance/assertion
-failures (route disagreement, slopes outside an asserted window, non-shrinking
-residuals, a fourth-moment gap outside its contraction-norm sandwich).
+Exit codes: 0 on success, 2 on validation failures (``InputError``, unreadable or non-JSON
+files, flag values argparse refuses), 3 on tolerance/assertion failures (route disagreement,
+slopes outside an asserted window, non-shrinking residuals, a fourth-moment gap outside its
+contraction-norm sandwich, a clt-check report with a non-finite number).
 Any other exception is an internal fault and propagates with its traceback.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isfinite
 
 from . import __version__
 from .bounds import (
@@ -153,6 +154,11 @@ def cmd_fmt_check(args) -> int:
 def cmd_clt_check(args) -> int:
     rep = clt_conditions(_load_chaos(args.chaos), M=args.truncate)
     _write(json.dumps(rep.to_json(), indent=2), args.output)
+    numbers = [*rep.variances.values(), rep.total_variance, rep.tail_mass,
+               *(v for tab in rep.contraction_tables.values() for v in tab.values())]
+    if not all(map(isfinite, numbers)):  # NaN fails
+        print("non-finite numbers in the CLT report, written as null", file=sys.stderr)
+        return EXIT_TOLERANCE
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import BoundInputs
 from .sampling import GENERATOR_VERSION, SampleBatch, _block_rng, _complex_normal
-from .space import ENTRY_CAP, InputError, Kernel, SpaceError, SpaceSpec, _json_finite
+from .space import InputError, Kernel, SpaceError, SpaceSpec, _check_entries, _json_finite
 
 __all__ = [
     "OUParams",
@@ -321,7 +321,7 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
     whose upper-bound exponent is 2(4H - 3) for H in (5/8, 3/4).  Column
     ``be_upper`` is ``BoundInputs.upper`` of the row's statistic (pseudo-moment
     0 at H = 1/2).  A fractional grid with m^2 above ``space.ENTRY_CAP`` raises
-    SpaceError before any row.
+    SpaceError, from ``space._check_entries``, before any row.
     """
     T_list = list(T_list)
     if len(T_list) < 2:
@@ -330,10 +330,8 @@ def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
         raise InputError("T_list must be strictly increasing")
     grids = [GridSpec.from_spacing(T, dt) for T in T_list]
     m = max(grid.m for grid in grids)
-    if base.H != 0.5 and m * m > ENTRY_CAP:
-        # a fractional row forms m x m arrays: refuse before computing any row
-        raise SpaceError(f"the fractional sweep needs m^2 = {m * m} entries at m = {m},"
-                         f" above the cap {ENTRY_CAP}")
+    if base.H != 0.5:  # a fractional row forms m x m arrays: refuse before computing any row
+        _check_entries(m * m, f"the fractional sweep at m = {m}")
     rows = []
     for T, grid in zip(T_list, grids):
         params = replace(base, T=T)
@@ -561,15 +559,6 @@ def _row_sum(block: np.ndarray) -> np.ndarray:
     return block[0] if len(block) == 1 else block.sum(axis=0)
 
 
-def _check_draws(m: int, cols: int) -> None:
-    """Raise SpaceError, before any draw, where an m x cols block of draws would
-    have more than ``space.ENTRY_CAP`` entries.  The block is drawn and walked
-    in chunks, so the cap bounds the work of one call, not the memory it holds."""
-    if m * cols > ENTRY_CAP:
-        raise SpaceError(f"a block of draws needs m x {cols} = {m * cols} entries at m = {m},"
-                         f" above the cap {ENTRY_CAP}")
-
-
 _MAX_WORKERS = 4                       # sample_numerator blocks walked at once, a chunk each
 
 
@@ -593,9 +582,9 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> Sam
     Each block has its own random stream, so blocks run concurrently on one
     thread per usable core, at most ``_MAX_WORKERS`` = 4, and the batch is the
     same on any core count.  Each worker holds one chunk, so the draws alive at
-    once stay near 4 x 4 MiB on any grid.  A block of draws of more than
-    ``space.ENTRY_CAP`` entries, possible only above m = 16384 since a block
-    keeps at least 1024 columns, raises SpaceError before any draw.
+    once stay near 4 x 4 MiB on any grid.  ``space._check_entries`` refuses a block
+    of draws of more than ``space.ENTRY_CAP`` entries, possible only above m = 16384
+    since a block keeps at least 1024 columns, with SpaceError before any draw.
     """
     if params.H != 0.5:
         raise InputError("sampling is implemented for the H = 1/2 branch")
@@ -606,7 +595,7 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> Sam
     scale = T / m / sqrt(T) * normalization_factor(params)      # dt / sqrt(T), normalized
 
     block = max(1024, min(1 << 16, (8 << 20) // m))
-    _check_draws(m, min(block, N))
+    _check_entries(m * min(block, N), f"a block of draws at m = {m}")
     values = np.empty(N, dtype=complex)
     n_blocks = (N + block - 1) // block
     a = np.exp(-params.gamma * (T / m))                         # the walk's step, for its chunks
@@ -643,14 +632,14 @@ def simulate_path(params: OUParams, grid: GridSpec, seed: int, n_paths: int = 1)
 
     Returns (Z, eps) with shapes (m+1,[ n_paths]) and (m,[ n_paths]), held
     whole.  An m x n_paths block of draws above ``space.ENTRY_CAP`` entries
-    raises SpaceError before any draw.
+    raises SpaceError (``space._check_entries``) before any draw.
     """
     if params.H != 0.5:
         raise InputError("path simulation is implemented for the H = 1/2 branch")
     if n_paths < 1:
         raise InputError("n_paths must be >= 1")
     m = grid.m
-    _check_draws(m, n_paths)
+    _check_entries(m * n_paths, f"a block of draws at m = {m}")
     dt = params.T / m
     a = np.exp(-params.gamma * dt)
     sd = sqrt((1.0 - exp(-2.0 * params.lam * dt)) / (2.0 * params.lam))
@@ -701,14 +690,14 @@ def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,
     accumulate along the ``_ar1_rows`` walk of the increments' ``_drawn_chunks``,
     so neither increments nor path are held whole.  The residual shrinks as the
     grid refines.  An m x n_paths block of draws above ``space.ENTRY_CAP``
-    entries raises SpaceError before any draw.
+    entries raises SpaceError (``space._check_entries``) before any draw.
     """
     if params.H != 0.5:
         raise InputError("the identity check is implemented for the H = 1/2 branch")
     if n_paths < 1:
         raise InputError("n_paths must be >= 1")
     m = grid.m
-    _check_draws(m, n_paths)
+    _check_entries(m * n_paths, f"a block of draws at m = {m}")
     T = params.T
     lam = params.lam
     dt = T / m

@@ -56,8 +56,8 @@ __all__ = [
 ]
 
 
-#: Largest number of complex entries n^(degree) a contraction may form (2^24
-#: of them take 256 MB); the "moments" gap route checks its products against it.
+#: Largest number of entries of a contraction output, an OU block of draws or a fractional
+#: sweep's m x m arrays (2^24 complex take 256 MB); ``_check_entries``, the one guard, reads it.
 ENTRY_CAP = 1 << 24
 
 
@@ -69,6 +69,12 @@ class InputError(ValueError):
 
 class SpaceError(InputError):
     """Raised on invalid spaces or kernel/space mismatches."""
+
+
+def _check_entries(entries: int, what: str) -> None:
+    """Raise SpaceError where ``what`` needs more than ``ENTRY_CAP`` entries, read at the call."""
+    if entries > ENTRY_CAP:
+        raise SpaceError(f"{what} needs {entries} entries, above the cap {ENTRY_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,8 +454,7 @@ def _contract_plan(n: int, a: int, b: int, c: int, d: int, i: int, j: int):
         raise SpaceError(f"i = {i} out of range [0, min({a}, {d})]")
     if not (0 <= j <= min(b, c)):
         raise SpaceError(f"j = {j} out of range [0, min({b}, {c})]")
-    if (size := n ** (a + b + c + d - 2 * (i + j))) > ENTRY_CAP:
-        raise SpaceError(f"contraction output needs {size} entries, above the cap {ENTRY_CAP}")
+    _check_entries(n ** (a + b + c + d - 2 * (i + j)), "a contraction output")
     fh, fa, gh, ga = a - i, b - j, c - j, d - i
     flip = fh + gh > fa + ga
     fx, fy = (range(a, a + fa), range(fh)) if flip else (range(fh), range(a, a + fa))

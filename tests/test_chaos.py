@@ -124,6 +124,15 @@ def test_multiply_capped_by_entries_not_order(sp4, monkeypatch):
         multiply(F, F)
 
 
+def test_moments_route_refuses_an_oversized_product(monkeypatch):
+    # a (2,2) kernel at n = 10: its (0,0) pairing, planned first, has 10^8 output
+    # entries, refused before any product
+    f = Kernel(SpaceSpec.orthonormal(10), 2, 2, np.ones(10 ** 4))
+    monkeypatch.setattr(space.np, "matmul", lambda *a, **k: pytest.fail("multiplied past the cap"))
+    with pytest.raises(SpaceError, match="100000000 entries, above the cap"):
+        fourth_gap(f, "moments")
+
+
 def test_isometry_reproduced_by_product(rng):
     # E[I_{a,b}(f) conj(I_{c,d}(g))] = 1{a=c} 1{b=d} a! b! <f, g>, recovered by
     # expanding the product and taking the constant term

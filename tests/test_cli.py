@@ -411,7 +411,7 @@ def test_circularity_fails_an_infinite_scale(tmp_path):
 @pytest.mark.parametrize("argv, code, nulls", [
     (["moments", "{kernel}"], 3, ["var_abs", "gap_v1", "route_spread"]),
     (["fmt-check", "{kernel}"], 3, ["fmt_norms.0,1", "fmt_norms.1,0", "gap", "c1_sum"]),
-    (["clt-check", "{chaos}", "--truncate", "2"], 0,
+    (["clt-check", "{chaos}", "--truncate", "2"], 3,
      ["variances.1,1", "total_variance", "contractions.1,1.0,1"]),
     (["circularity", "{vector}"], 3, ["max_abs"]),
 ], ids=["moments", "fmt-check", "clt-check", "circularity"])
@@ -435,6 +435,14 @@ def test_bound_of_an_overflowing_kernel_writes_nothing(tmp_path):
         assert main(["bound", "--kernel", paths["kernel"], "-o", str(out)]) == 2
         assert main(["bound", "--vector", paths["vector"], "-o", str(out)]) == 2
     assert not out.exists()
+
+
+def test_bound_names_an_overflowing_covariance_non_finite(tmp_path, capsys):
+    # lambda1 is NaN: the covariance is not finite, which is not the same as singular
+    with np.errstate(all="ignore"):
+        assert main(["bound", "--kernel", _overflowing_files(tmp_path)["kernel"]]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite covariance" in err and "singular" not in err
 
 
 def test_sample_writes_csv(files, tmp_path):

@@ -12,7 +12,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from cwchaos import space
+from cwchaos import ou, space
 from cwchaos.chaos import fourth_gap, moment_report
 from cwchaos.space import (
     Kernel,
@@ -541,6 +541,32 @@ def test_contract_plans_keyed_by_size_orders_and_pairing(rng, weighted):
                         assert (got.p, got.q) == (ref.p, ref.q)
                         assert (np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0)
                                 <= 1e-13 * norm(f) * norm(g))
+
+
+@pytest.mark.parametrize("route", ["contract", "moments", "rate_sweep", "sample_numerator",
+                                   "simulate_path", "verify_denominator_identity"])
+def test_every_oversized_work_refusal_reads_the_one_cap(rng, monkeypatch, route):
+    # with the cap lowered to 100 entries, each route refuses its work before any product,
+    # Gram or draw; a module that bound the cap by value at import would let it through
+    f = random_kernel(rng, random_space(rng, 4, weighted=True), 1, 1)  # f (x) f: 4^4 entries
+    monkeypatch.setattr(space, "ENTRY_CAP", 100)
+    space._contract_plan.cache_clear()
+    space._orbit_plan.cache_clear()
+    monkeypatch.setattr(space.np, "matmul", lambda *a, **k: pytest.fail("multiplied past the cap"))
+    monkeypatch.setattr(ou, "fbm_gram", lambda *a, **k: pytest.fail("built a Gram past the cap"))
+    monkeypatch.setattr(ou, "_complex_normal", lambda *a, **k: pytest.fail("drew past the cap"))
+    p, grid = ou.OUParams(lam=1.0, T=5.0), ou.GridSpec(m=10)  # 10 x 20 draws
+    refusals = {
+        "contract": lambda: contract(f, f, 0, 0),
+        "moments": lambda: fourth_gap(f, "moments"),
+        "rate_sweep": lambda: ou.rate_sweep(ou.OUParams(lam=1.0, H=0.7), [1.0, 2.0], dt=0.1),
+        "sample_numerator": lambda: ou.sample_numerator(p, grid, N=20, seed=0),
+        "simulate_path": lambda: ou.simulate_path(p, grid, seed=0, n_paths=20),
+        "verify_denominator_identity": lambda: ou.verify_denominator_identity(
+            p, grid, seed=0, n_paths=20),
+    }
+    with pytest.raises(SpaceError, match="above the cap 100"):
+        refusals[route]()
 
 
 @pytest.mark.parametrize("weighted", [False, True])
