@@ -289,6 +289,8 @@ def be_upper_multivariate(F: ChaosVector, circular_tol: float = CIRCULAR_TOL) ->
     kernels = _single_order_kernels(F)
     d = F.d
     sigma = _pair_matrix(F, F.components)   # E[F conj(F)']
+    if not np.all(np.isfinite(sigma)):      # before eigvalsh, which may not converge on it
+        raise InputError(f"non-finite covariance: max |E F^j conj(F^r)| = {np.max(abs(sigma)):.3e}")
     eig = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
     lambda_max, lambda_min = float(eig[-1]), float(eig[0])
 

@@ -289,7 +289,7 @@ def fourth_gap(f: Kernel, route: str = "v1") -> float:
         F = ChaosVariable.from_kernel(f)
         s2 = factorial(p) * factorial(q) * norm_sq(f)
         return sum(factorial(k) * factorial(kp) * _orbit_norm_sq(s, f.space, k, kp) for (k, kp), s
-                   in _product_sums(F, F, _contract_orbit_sums).items() if k + kp) - 2.0 * s2 ** 2
+                   in _product_sums(F, F, _contract_orbit_sums).items() if k + kp) - 2.0 * s2 * s2
     if route == "v1":
         return _cov_groups(f, f)
     if route == "v2":

@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 2 on validation failures (``InputError``, unreadable or non-JSON
 files, flag values argparse refuses), 3 on tolerance/assertion failures (route disagreement,
 slopes outside an asserted window, non-shrinking residuals, a fourth-moment gap outside its
-contraction-norm sandwich, a clt-check report with a non-finite number).
+contraction-norm sandwich, a clt-check or bound --kernel report with a non-finite number).
 Any other exception is an internal fault and propagates with its traceback.
 """
 
@@ -87,6 +87,14 @@ def _load_vector(path: str) -> ChaosVector:
     return ChaosVector(out)
 
 
+def _finite_or_fail(numbers, report: str) -> int:
+    """Exit 3, with a stderr line, when a written report holds a non-finite number."""
+    if all(map(isfinite, numbers)):  # NaN fails
+        return EXIT_OK
+    print(f"non-finite numbers in the {report} report, written as null", file=sys.stderr)
+    return EXIT_TOLERANCE
+
+
 # -- subcommands -------------------------------------------------------------------
 
 
@@ -123,9 +131,10 @@ def cmd_bound(args) -> int:
     try:
         doc["be_upper_circular"] = be_upper_circular(kern, circular_tol=args.circular_tol)
     except NonCircularError:
-        doc["be_upper_circular"] = None
+        doc["be_upper_circular"] = None     # not a number: no bound for this kernel
     _write(json.dumps(_json_finite(doc), indent=2), args.output)
-    return EXIT_OK
+    return _finite_or_fail([v for part in (doc, doc["lower_terms"], doc["fmt_norms"])
+                            for v in part.values() if isinstance(v, float)], "bound")
 
 
 def cmd_fmt_check(args) -> int:
@@ -154,12 +163,9 @@ def cmd_fmt_check(args) -> int:
 def cmd_clt_check(args) -> int:
     rep = clt_conditions(_load_chaos(args.chaos), M=args.truncate)
     _write(json.dumps(rep.to_json(), indent=2), args.output)
-    numbers = [*rep.variances.values(), rep.total_variance, rep.tail_mass,
-               *(v for tab in rep.contraction_tables.values() for v in tab.values())]
-    if not all(map(isfinite, numbers)):  # NaN fails
-        print("non-finite numbers in the CLT report, written as null", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return _finite_or_fail([*rep.variances.values(), rep.total_variance, rep.tail_mass,
+                            *(v for tab in rep.contraction_tables.values() for v in tab.values())],
+                           "CLT")
 
 
 def cmd_circularity(args) -> int:

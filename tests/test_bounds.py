@@ -230,6 +230,17 @@ def test_multivariate_order_5131_cross_terms_vanish(rng):
     assert cross and all(not t.active and t.value == 0.0 for t in cross)
 
 
+@pytest.mark.parametrize("p, q, ratio", [(2, 0, 5.657), (2, 1, 11.314), (3, 0, 11.314),
+                                         (3, 1, 21.166)])
+def test_univariate_bound_over_multivariate_bound_is_pinned(rng, p, q, ratio):
+    # on a circular one-component vector the univariate bound is the multivariate
+    # one times 4 sqrt(binomial_sum(p + q)): a change to either constant shows here
+    f = random_kernel(rng, random_space(rng, 3, weighted=True), p, q)   # p != q: circular
+    multi = be_upper_multivariate(ChaosVector([ChaosVariable.from_kernel(f)])).bound
+    assert be_upper(f) / multi == pytest.approx(4.0 * sqrt(binomial_sum(p + q)), rel=1e-12)
+    assert be_upper(f) / multi == pytest.approx(ratio, abs=1e-3)
+
+
 def test_multivariate_d1_reduces_to_circular_quantity(rng):
     sp = random_space(rng, 3)
     f = random_kernel(rng, sp, 1, 2)  # p != q: structurally circular

@@ -445,6 +445,50 @@ def test_bound_names_an_overflowing_covariance_non_finite(tmp_path, capsys):
     assert "non-finite covariance" in err and "singular" not in err
 
 
+def _scaled_kernel_file(tmp_path, name, factor, weight_factor=1.0) -> str:
+    """A golden input with every kernel entry times ``factor`` and every weight
+    times ``weight_factor``: finite, so the loaders accept it."""
+    doc = json.loads((INPUTS / name).read_text())
+    for kern in [c["kernel"] for c in doc["components"]] if "components" in doc else [doc]:
+        kern["re"] = [factor * x for x in kern["re"]]
+        kern["im"] = [factor * x for x in kern["im"]]
+        kern["weights"] = [weight_factor * w for w in kern["weights"]]
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_moments_of_a_large_kernel_fails_closed(tmp_path, capsys):
+    # the "moments" route squared its norm as a float power, which raised
+    # OverflowError; the infinite square makes the spread NaN, which fails the gate
+    path = _scaled_kernel_file(tmp_path, "circular_11.json", 1e100)
+    out = tmp_path / "rep.json"
+    with np.errstate(all="ignore"):
+        assert main(["moments", path, "-o", str(out)]) == 3
+    assert "route disagreement" in capsys.readouterr().err
+    assert _strict_json(out)["route_spread"] is None
+
+
+def test_bound_kernel_with_a_non_finite_number_exits_3(tmp_path, capsys):
+    # the report is written with null for be_upper, and the command fails
+    path = _scaled_kernel_file(tmp_path, "circular_11.json", 1e100)
+    out = tmp_path / "bound.json"
+    with np.errstate(all="ignore"):
+        assert main(["bound", "--kernel", path, "-o", str(out)]) == 3
+    assert "non-finite numbers in the bound report" in capsys.readouterr().err
+    assert _strict_json(out)["be_upper"] is None
+
+
+def test_bound_vector_checks_its_covariance_before_eigenvalues(tmp_path, capsys):
+    # entries x 1e-300 and weights x 1e300 make the covariance NaN: bad input, not a
+    # LinAlgError from eigvalsh, and not a non-circular vector
+    path = _scaled_kernel_file(tmp_path, "vector_circular.json", 1e-300, 1e300)
+    with np.errstate(all="ignore"):
+        assert main(["bound", "--vector", path]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite covariance" in err and "exceeds" not in err
+
+
 def test_sample_writes_csv(files, tmp_path):
     out = tmp_path / "batch.csv"
     assert main(["sample", "--kernel", str(files / "k11.json"), "-N", "500",
