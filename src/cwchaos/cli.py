@@ -112,7 +112,9 @@ def cmd_bound(args) -> int:
     if args.vector is not None:
         rep = be_upper_multivariate(_load_vector(args.vector), circular_tol=args.circular_tol)
         _write(json.dumps(rep.to_json(), indent=2), args.output)
-        return EXIT_OK
+        return _finite_or_fail([rep.bound, rep.quartic_sum, rep.lambda_max, rep.lambda_min,
+                                rep.pseudo_max, *rep.own_contraction_sums,
+                                *(t.value for t in rep.cross_terms)], "bound")
     kern = load_kernel(args.kernel)
     inputs = BoundInputs.from_kernel(kern)
     doc = {

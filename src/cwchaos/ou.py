@@ -394,11 +394,14 @@ def fbm_inner(f: Kernel, g: Kernel, params: OUParams) -> complex:
     the ordinary weighted inner product.
 
     The Toeplitz Gram is embedded in a circulant of length n, the power of two
-    >= 2m - 1, with first column (g_0..g_{m-1}, 0, ..., 0, g_{m-1}..g_1), and
-    applied to each slot by FFT (Chan & Ng, SIAM Review 38, 1996).  A power of
-    two keeps prime m off the slow Bluestein path.  A degree-d pairing costs
-    O(d m^d log m) time and O(n m^(d-1)) memory, and the m x m Gram is never
-    formed: a (1,0) pairing is O(m log m) time and O(m) memory.
+    >= 2m - 1, with first column (g_0..g_{m-1}, 0, ..., 0, g_{m-1}..g_1) and
+    spectrum lambda (Chan & Ng, SIAM Review 38, 1996).  The circulant is applied
+    by FFT to d - 1 slots of f; the slot left is paired with g's by Parseval,
+    <y, C x> = <y^, lambda x^> / n over the zero-padded length n, with no inverse
+    transform: a (1,0) norm costs two forward FFTs of length n, the spectrum's
+    and f's.  A power of two keeps prime m off the slow Bluestein path.  A
+    degree-d pairing costs O(d m^d log m) time and O(n m^(d-1)) memory, and the
+    m x m Gram is never formed: a (1,0) pairing is O(m log m) time and O(m) memory.
     """
     f._check_peer(g)
     if f.space.grid is None:
@@ -409,19 +412,22 @@ def fbm_inner(f: Kernel, g: Kernel, params: OUParams) -> complex:
     if not (np.max(np.abs(f.space.grid - t)) <= 1e-12 * params.T
             and np.max(np.abs(f.space.weights - w)) <= 1e-12 * w[0]):
         raise SpaceError(f"fbm_inner needs the midpoint cells of [0, T] with T = {params.T!r}")
+    if f.degree == 0:
+        return complex(np.vdot(g.coeffs, f.coeffs))
     gen = _fgn_generator(params, m)
     n = 1 << (2 * m - 2).bit_length()
-    col = np.zeros(n)
-    col[:m] = gen
-    col[n - m + 1:] = gen[:0:-1]
-    # the circulant is real symmetric, so its eigenvalues are real
-    spectrum = np.fft.fft(col).real
+    # the first column is real and even: its first half gives its real spectrum
+    half = np.zeros(n // 2 + 1)
+    half[:m] = gen
+    spectrum = np.fft.hfft(half, n)
     out = f.coeffs
-    for _ in range(f.degree):
-        # apply the Gram to the last slot and move that slot to the front, so
-        # after every slot has had its turn the slots are back in order
+    for _ in range(f.degree - 1):
+        # apply the Gram to the last slot and move that slot to the front: after
+        # d - 1 turns out holds f's slots 1..d-1 applied, then slot 0 unapplied
         out = np.moveaxis(np.fft.ifft(np.fft.fft(out, n) * spectrum)[..., :m], -1, 0)
-    return complex(np.vdot(g.coeffs, out))
+    x = np.fft.fft(out, n)
+    y = x if g is f and f.degree == 1 else np.fft.fft(np.moveaxis(g.coeffs, 0, -1), n)
+    return complex(np.vdot(y, x * spectrum)) / n
 
 
 def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:

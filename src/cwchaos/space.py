@@ -423,9 +423,11 @@ def _symmetrize(f: Kernel) -> Kernel:
 def _orbit_norm_sq(sums: np.ndarray, space: SpaceSpec, p: int, q: int) -> float:
     """||Sym g||^2 of a (p, q) array g from its orbit sums S, nothing gathered back: the sum
     over orbit pairs O of w_O |S_O|^2 / |O|, w_O the weight product of O's ``_orbit_reps``
-    member, read in slabs of rows so that no temporary is as large as S."""
-    wx, wy = ((1.0 if w is None else w[flat]) / size for w, (_, flat, size) in
-              ((space._weight_product(k), _codes(space.n, k)) for k in (p, q)))
+    member, multiplied left to right over its digits as ``_weight_product`` does, so no n^k
+    product is formed; read in slabs of rows so that no temporary is as large as S."""
+    wx, wy = ((1.0 if space._unit else reduce(np.multiply, space.weights[digits].T,
+                                              np.ones(len(digits)))) / size
+              for digits, _, size in (_codes(space.n, k) for k in (p, q)))
     return float(sum(w @ ((s.real ** 2 + s.imag ** 2) @ wy) for s, w in
                      zip(_row_slabs(sums, sums.shape[1]), _row_slabs(wx, sums.shape[1]))))
 

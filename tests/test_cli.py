@@ -479,6 +479,19 @@ def test_bound_kernel_with_a_non_finite_number_exits_3(tmp_path, capsys):
     assert _strict_json(out)["be_upper"] is None
 
 
+def test_bound_vector_with_a_non_finite_number_exits_3(tmp_path, capsys):
+    # entries x 1e100 keep the covariance finite (lambda_max 7e201) but overflow the
+    # quartic sum: the report is written with nulls, and the command fails
+    path = _scaled_kernel_file(tmp_path, "vector_circular.json", 1e100)
+    out = tmp_path / "mv.json"
+    with np.errstate(all="ignore"):
+        assert main(["bound", "--vector", path, "-o", str(out)]) == 3
+    assert "non-finite numbers in the bound report" in capsys.readouterr().err
+    doc = _strict_json(out)
+    assert doc["bound"] is None and doc["quartic_sum"] is None
+    assert doc["lambda_max"] == pytest.approx(7.0e201, rel=0.1)
+
+
 def test_bound_vector_checks_its_covariance_before_eigenvalues(tmp_path, capsys):
     # entries x 1e-300 and weights x 1e300 make the covariance NaN: bad input, not a
     # LinAlgError from eigvalsh, and not a non-circular vector

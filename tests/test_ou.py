@@ -426,9 +426,10 @@ def test_fbm_inner_matches_dense_oracle(H, order):
     ms = [2, 3, 17, 40] + ([223, 401] if order == (1, 0) else [])
     for m in ms:
         f, g = (_random_midpoint_kernel(rng, m, params.T, *order) for _ in range(2))
-        ref = dense_fbm_inner(f, g, params)
-        scale = sqrt(dense_fbm_inner(f, f, params).real * dense_fbm_inner(g, g, params).real)
+        ref, ff = dense_fbm_inner(f, g, params), dense_fbm_inner(f, f, params)
+        scale = sqrt(ff.real * dense_fbm_inner(g, g, params).real)
         assert abs(fbm_inner(f, g, params) - ref) <= 1e-13 * scale
+        assert abs(fbm_inner(f, f, params) - ff) <= 1e-13 * ff.real
 
 
 def test_fbm_inner_forms_no_gram(monkeypatch):
@@ -437,6 +438,19 @@ def test_fbm_inner_forms_no_gram(monkeypatch):
     ref = dense_fbm_inner(f, g, params)
     monkeypatch.setattr(ou, "fbm_gram", lambda *a, **k: pytest.fail("formed the m x m Gram"))
     assert fbm_inner(f, g, params) == pytest.approx(ref, rel=1e-13)
+
+
+def test_fbm_inner_pairs_the_last_slot_without_an_inverse_fft(monkeypatch):
+    # a degree-1 pairing, a norm included, takes forward transforms only
+    params = OUParams(lam=1.0, T=2.0, H=0.7)
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: pytest.fail("took an inverse FFT"))
+    for order in ((1, 0), (0, 1)):
+        for m in (2, 17, 64):
+            f, g = (_random_midpoint_kernel(np.random.default_rng(m + i), m, params.T, *order)
+                    for i in range(2))
+            for a, b in ((f, g), (f, f), (g, g)):
+                ref = dense_fbm_inner(a, b, params)
+                assert abs(fbm_inner(a, b, params) - ref) <= 1e-13 * abs(ref)
 
 
 def test_fbm_inner_memory_is_linear_in_m():

@@ -505,6 +505,40 @@ def test_orbit_coordinates_match_reduced_contraction(rng, monkeypatch, n, weight
     assert space._orbit_plan(4, 2, 2, 2, 2, 0, 0)[1] == (10, 10, 10, 10)
 
 
+def test_orbit_norm_weights_equal_the_gathered_weight_product(rng):
+    # the orbit weights are multiplied from the representatives' digits; the flat
+    # n^k product gathered at their flat indices is the reference, bit for bit
+    for n in range(1, 6):
+        sp = random_space(rng, n, weighted=True)
+        for p, q in ((0, 0), (1, 0), (0, 3), (2, 2), (6, 0), (4, 6), (6, 6)):
+            (_, fx, sx), (_, fy, sy) = space._codes(n, p), space._codes(n, q)
+            shape = (len(fx), len(fy))
+            sums = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            wx, wy = (sp._weight_product(k)[flat] / size
+                      for k, flat, size in ((p, fx, sx), (q, fy, sy)))
+            expected = float(wx @ ((sums.real ** 2 + sums.imag ** 2) @ wy))
+            assert space._orbit_norm_sq(sums, sp, p, q) == expected
+
+
+def test_moments_route_keeps_weight_products_of_the_kernel_degree_only(rng):
+    # the orbit weights gathered from a flat n^k product kept every degree up to 2(p + q)
+    # on the space: 52 MiB of degrees 0..8 for a weighted (4,0) kernel at n = 7
+    n = 7
+    sp = random_space(rng, n, weighted=True)
+    f = random_kernel(rng, sp, 4, 0)
+    # warm-up on another space: this space's first call, orbit tables included, is measured
+    fourth_gap(random_kernel(rng, random_space(rng, 3, weighted=True), 4, 0), "moments")
+    tracemalloc.start()
+    try:
+        fourth_gap(f, "moments")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(sp._products) <= 4
+    assert sum(prod.nbytes for prod in sp._products.values()) <= f.coeffs.nbytes
+    assert peak < 8 * 2**20
+
+
 def test_orbit_coordinates_keep_a_nan_in_the_last_slab(rng, monkeypatch):
     # a NaN at holomorphic (2, 2) spreads over its orbit under symmetrize: the last of
     # f's six X codes, read in the short last slab of slabs of four; the sums, the norm
