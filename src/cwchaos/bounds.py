@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import permutations
-from math import comb, factorial, isfinite, sqrt
+from math import comb, factorial, hypot, isfinite, sqrt
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .chaos import (
     pairing_expectation,
     third_moments_closed,
 )
-from .space import InputError, Kernel, SpaceError, _json_finite, norm_sq, symmetrize
+from .space import InputError, Kernel, SpaceError, norm_sq, symmetrize
 
 __all__ = [
     "NonCircularError",
@@ -124,7 +124,7 @@ class BoundInputs:
     @classmethod
     def from_moments(cls, sigma_sq: float, pseudo: complex, l: int) -> "BoundInputs":
         a, b = pseudo.real, pseudo.imag
-        r = sqrt(a * a + b * b)
+        r = hypot(a, b)                  # a * a + b * b would overflow before the sum
         return cls(sigma_sq=sigma_sq, a=a, b=b, l=l,
                    lambda1=0.5 * (sigma_sq + r), lambda2=0.5 * (sigma_sq - r))
 
@@ -162,13 +162,13 @@ def be_upper_circular(f: Kernel, circular_tol: float = CIRCULAR_TOL) -> float:
     Requires |E F^2| at most ``circular_tol`` times sigma^2."""
     f = symmetrize(f)
     inputs = BoundInputs.from_kernel(f)
-    pseudo_mag = sqrt(inputs.a ** 2 + inputs.b ** 2)
+    pseudo_mag = hypot(inputs.a, inputs.b)
     if not _is_circular(pseudo_mag, inputs.sigma_sq, circular_tol):
         raise NonCircularError(f"|E F^2| = {pseudo_mag:.3e} exceeds tolerance {circular_tol:.1e}"
                                f" * sigma^2 = {circular_tol * inputs.sigma_sq:.3e}")
     # E|F|^4 - 2 (E|F|^2)^2 is the gap plus |E F^2|^2
     return (BoundInputs.from_moments(inputs.sigma_sq, 0j, inputs.l)
-            .upper(fourth_gap(f, "v1") + pseudo_mag ** 2))
+            .upper(fourth_gap(f, "v1") + pseudo_mag * pseudo_mag))   # a float ** raises on overflow
 
 
 def be_lower_terms(f: Kernel) -> tuple[float, float, float]:
@@ -256,7 +256,7 @@ class BoundReport:
     cross_terms: list[CrossTerm]
 
     def to_json(self) -> dict:
-        return _json_finite(asdict(self))
+        return asdict(self)
 
 
 def _single_order_kernels(F: ChaosVector) -> list[Kernel]:
@@ -347,14 +347,14 @@ class CircularityReport:
     note: str = "vanishing pseudo-covariance is necessary, not sufficient"
 
     def to_json(self) -> dict:
-        return _json_finite({
+        return {
             "pseudo_re": self.pseudo.real.tolist(),
             "pseudo_im": self.pseudo.imag.tolist(),
             "max_abs": self.max_abs,
             "tol": self.tol,
             "passed": self.passed,
             "note": self.note,
-        })
+        }
 
 
 def circularity_check(F: ChaosVector, tol: float = CIRCULAR_TOL) -> CircularityReport:
@@ -384,7 +384,7 @@ class CltReport:
     tail_mass: float
 
     def to_json(self) -> dict:
-        return _json_finite({
+        return {
             "variances": {f"{p},{q}": v for (p, q), v in sorted(self.variances.items())},
             "total_variance": self.total_variance,
             "contractions": {
@@ -393,7 +393,7 @@ class CltReport:
             },
             "truncation_order": self.truncation_order,
             "tail_mass": self.tail_mass,
-        })
+        }
 
 
 def clt_conditions(F: ChaosVariable, M: int) -> CltReport:

@@ -36,7 +36,6 @@ from .space import (
     SpaceError,
     SpaceSpec,
     _contract_orbit_sums,
-    _json_finite,
     _json_int,
     _orbit_norm_sq,
     _sym_norm_sq,
@@ -412,8 +411,8 @@ class MomentReport:
         return (max(gaps) - min(gaps)) / scale
 
     def to_json(self) -> dict:
-        """The report's numbers, with None (JSON null) for a non-finite one."""
-        return _json_finite({
+        """The report's numbers, raw: the CLI writes a non-finite one as null."""
+        return {
             "var_abs": self.var_abs,
             "pseudo_re": self.pseudo.real,
             "pseudo_im": self.pseudo.imag,
@@ -425,7 +424,7 @@ class MomentReport:
             "gap_v1": self.gap_v1,
             "gap_v2": self.gap_v2,
             "route_spread": self.route_spread(),
-        })
+        }
 
 
 def _second_moments(f: Kernel) -> tuple[float, complex]:

@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 2 on validation failures (``InputError``, unreadable or non-JSON
 files, flag values argparse refuses), 3 on tolerance/assertion failures (route disagreement,
 slopes outside an asserted window, non-shrinking residuals, a fourth-moment gap outside its
-contraction-norm sandwich, a clt-check or bound --kernel report with a non-finite number).
-Any other exception is an internal fault and propagates with its traceback.
+contraction-norm sandwich) and on any report with a non-finite number, which ``_report``
+writes as null.  Any other exception is an internal fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isfinite
+from dataclasses import asdict
 
 from . import __version__
 from .bounds import (
@@ -54,16 +54,6 @@ EXIT_TOLERANCE = 3
 SANDWICH_SLACK = 1e-10
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
 def _load_chaos(path: str) -> ChaosVariable:
     with open(path) as fh:
         return chaos_from_json(json.load(fh))
@@ -87,12 +77,24 @@ def _load_vector(path: str) -> ChaosVector:
     return ChaosVector(out)
 
 
-def _finite_or_fail(numbers, report: str) -> int:
-    """Exit 3, with a stderr line, when a written report holds a non-finite number."""
-    if all(map(isfinite, numbers)):  # NaN fails
-        return EXIT_OK
-    print(f"non-finite numbers in the {report} report, written as null", file=sys.stderr)
-    return EXIT_TOLERANCE
+def _report(doc, args, text=None) -> int:
+    """Write a command's report to ``args.output`` (stdout if None or "-"): the CSV ``text``
+    if given, else ``doc`` as JSON with null for each non-finite number.  The CLI's one
+    non-finite rule: a ``doc`` with a NaN or an infinity anywhere exits 3, with one stderr line."""
+    try:
+        body, code = json.dumps(doc, indent=2, allow_nan=False), EXIT_OK
+    except ValueError:                  # json's refusal of a NaN or an infinity
+        body, code = json.dumps(_json_finite(doc), indent=2), EXIT_TOLERANCE
+    if text is not None:
+        body = text
+    if args.output is None or args.output == "-":
+        sys.stdout.write(body if body.endswith("\n") else body + "\n")
+    else:
+        with open(args.output, "w") as fh:
+            fh.write(body)
+    if code != EXIT_OK:
+        print(f"non-finite numbers in the {args.command} report", file=sys.stderr)
+    return code
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -100,21 +102,18 @@ def _finite_or_fail(numbers, report: str) -> int:
 
 def cmd_moments(args) -> int:
     rep = moment_report(load_kernel(args.kernel))
-    _write(json.dumps(rep.to_json(), indent=2), args.output)
+    code = _report(rep.to_json(), args)
     spread = rep.route_spread()
     if not spread <= args.tol:  # NaN fails
         print(f"route disagreement {spread:.3e} > {args.tol:.1e}", file=sys.stderr)
         return EXIT_TOLERANCE
-    return EXIT_OK
+    return code
 
 
 def cmd_bound(args) -> int:
     if args.vector is not None:
         rep = be_upper_multivariate(_load_vector(args.vector), circular_tol=args.circular_tol)
-        _write(json.dumps(rep.to_json(), indent=2), args.output)
-        return _finite_or_fail([rep.bound, rep.quartic_sum, rep.lambda_max, rep.lambda_min,
-                                rep.pseudo_max, *rep.own_contraction_sums,
-                                *(t.value for t in rep.cross_terms)], "bound")
+        return _report(rep.to_json(), args)
     kern = load_kernel(args.kernel)
     inputs = BoundInputs.from_kernel(kern)
     doc = {
@@ -134,9 +133,7 @@ def cmd_bound(args) -> int:
         doc["be_upper_circular"] = be_upper_circular(kern, circular_tol=args.circular_tol)
     except NonCircularError:
         doc["be_upper_circular"] = None     # not a number: no bound for this kernel
-    _write(json.dumps(_json_finite(doc), indent=2), args.output)
-    return _finite_or_fail([v for part in (doc, doc["lower_terms"], doc["fmt_norms"])
-                            for v in part.values() if isinstance(v, float)], "bound")
+    return _report(doc, args)
 
 
 def cmd_fmt_check(args) -> int:
@@ -146,34 +143,26 @@ def cmd_fmt_check(args) -> int:
     csum = contraction_sum_sq(kern)
     c1_sum, gap, c2_sum = c1 * csum, fourth_gap(kern, "v1"), c2 * csum
     sandwich = {"c1_sum": c1_sum, "gap": gap, "c2_sum": c2_sum}
-    if args.format == "csv":
-        lines = ["i,j,norm"] + [f"{i},{j},{v!r}" for (i, j), v in sorted(table.items())]
-        lines += [f"# {key}={value!r}" for key, value in sandwich.items()]
-        _write("\n".join(lines) + "\n", args.output)
-    else:
-        doc = {"fmt_norms": {f"{i},{j}": v for (i, j), v in sorted(table.items())}, **sandwich}
-        _write(json.dumps(_json_finite(doc), indent=2), args.output)
+    doc = {"fmt_norms": {f"{i},{j}": v for (i, j), v in sorted(table.items())}, **sandwich}
+    lines = ["i,j,norm"] + [f"{i},{j},{v!r}" for (i, j), v in sorted(table.items())]
+    lines += [f"# {key}={value!r}" for key, value in sandwich.items()]
+    code = _report(doc, args, "\n".join(lines) + "\n" if args.format == "csv" else None)
     # the main theorem's sandwich c1 sum <= gap <= c2 sum of the contraction norms
     if not (c1_sum <= gap * (1 + SANDWICH_SLACK)
             and gap <= c2_sum * (1 + SANDWICH_SLACK)):  # NaN fails
         print(f"gap sandwich violated: c1_sum={c1_sum!r}, gap={gap!r}, c2_sum={c2_sum!r}",
               file=sys.stderr)
         return EXIT_TOLERANCE
-    return EXIT_OK
+    return code
 
 
 def cmd_clt_check(args) -> int:
-    rep = clt_conditions(_load_chaos(args.chaos), M=args.truncate)
-    _write(json.dumps(rep.to_json(), indent=2), args.output)
-    return _finite_or_fail([*rep.variances.values(), rep.total_variance, rep.tail_mass,
-                            *(v for tab in rep.contraction_tables.values() for v in tab.values())],
-                           "CLT")
+    return _report(clt_conditions(_load_chaos(args.chaos), M=args.truncate).to_json(), args)
 
 
 def cmd_circularity(args) -> int:
     rep = circularity_check(_load_vector(args.vector), tol=args.tol)
-    _write(json.dumps(rep.to_json(), indent=2), args.output)
-    return EXIT_OK if rep.passed else EXIT_TOLERANCE
+    return max(_report(rep.to_json(), args), EXIT_OK if rep.passed else EXIT_TOLERANCE)
 
 
 def cmd_sample(args) -> int:
@@ -189,7 +178,7 @@ def cmd_sample(args) -> int:
 def cmd_ou_rate(args) -> int:
     base = OUParams(lam=args.lam, omega=args.omega, T=args.T[0], H=args.hurst)
     table = rate_sweep(base, args.T, dt=args.dt)
-    _write(table.to_csv(), args.output)
+    code = _report(asdict(table), args, table.to_csv())
     if args.check:
         ok = abs(table.slope_gap - args.gap_slope) <= args.slope_tol
         if table.slope_e3_mixed is not None and base.H == 0.5:
@@ -201,7 +190,7 @@ def cmd_ou_rate(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_TOLERANCE
-    return EXIT_OK
+    return code
 
 
 def cmd_ou_verify(args) -> int:
@@ -211,13 +200,13 @@ def cmd_ou_verify(args) -> int:
     grids = [GridSpec.from_spacing(args.T, dt) for dt in args.dt]  # all checked before any path
     reports = [verify_denominator_identity(params, grid, seed=args.seed, n_paths=args.paths)
                for grid in grids]
-    _write(json.dumps([r.to_json() for r in reports], indent=2), args.output)
+    code = _report([r.to_json() for r in reports], args)
     if args.check:
         means = [r.mean_abs_residual for r in reports]
         if not all(b < a for a, b in zip(means, means[1:])):  # NaN fails
             print(f"residuals did not shrink across dt list: {means}", file=sys.stderr)
             return EXIT_TOLERANCE
-    return EXIT_OK
+    return code
 
 
 def cmd_ou_sample(args) -> int:

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from math import exp, factorial, inf, isfinite, log, sqrt
+from math import exp, factorial, inf, isfinite, log, nan, sqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import BoundInputs
 from .sampling import GENERATOR_VERSION, SampleBatch, _block_rng, _complex_normal
-from .space import InputError, Kernel, SpaceError, SpaceSpec, _check_entries, _json_finite
+from .space import InputError, Kernel, SpaceError, SpaceSpec, _check_entries
 
 __all__ = [
     "OUParams",
@@ -251,10 +251,12 @@ def triangular_quantities(params: OUParams, m: int) -> RateRow:
     m = int(GridSpec(m).m)  # an integer m >= 2, or InputError
     lam, T = params.lam, params.T
     dt = T / m
-    c = 1.0 / sqrt(T)
     x = exp(-2.0 * lam * dt)
     beta = float(_subdiagonal_factor(lam, dt))
     delta = beta - 1.0
+    # nu dt / sqrt(T) is finite where nu^4 or T^-2 overflows; a float ** would raise
+    g = normalization_factor(params) * dt / sqrt(T)
+    g2 = g * g
 
     d = np.arange(1, m, dtype=float)
     xd = x ** d
@@ -265,27 +267,24 @@ def triangular_quantities(params: OUParams, m: int) -> RateRow:
     s2[0] = 0.0
     if m > 2:
         s2[1] += delta**2
-    var = c**2 * dt**2 * (float(np.sum((m - d) * xd)) + (beta**2 - 1.0) * (m - 1) * x)
-    kwk_sq = c**4 * dt**4 * float(np.sum((m - d) * s2**2 * xd))
-    e21 = 2.0 * c**3 * dt**3 * float(np.sum((m - d) * s2 * xd))
+    var = g2 * (float(np.sum((m - d) * xd)) + (beta**2 - 1.0) * (m - 1) * x)
+    kwk_sq = g2 * g2 * float(np.sum((m - d) * s2**2 * xd))
+    e21 = 2.0 * g2 * g * float(np.sum((m - d) * s2 * xd))
 
     idx = np.arange(m, dtype=float)
-    ratio = x / (1.0 - x)
-    L = ratio * (1.0 - x**idx)                # sum_{u < w} x^(w-u)
-    R = ratio * (1.0 - x ** (m - 1 - idx))    # sum_{u > v} x^(u-v)
+    # prefix sums of x^D, where x (1 - x^k) / (1 - x) would cancel as lam dt -> 0
+    L = np.concatenate(([0.0], np.cumsum(xd)))    # sum_{u < w} x^(w-u)
+    R = L[::-1]                                   # sum_{u > v} x^(u-v)
     # K^H K is z^|t-s| Rb[max(t,s)] off the diagonal, where the band adds
     # delta x wherever a right neighbour exists, and its diagonal carries
     # beta delta x more; ||K K^H|| = ||K^H K||, so it gives both contraction norms
     has_right = idx <= m - 2
     Rb = R + delta * x * has_right
     Rd = Rb + beta * delta * x * has_right
-    fmt_sq = c**4 * dt**4 * float(np.sum(Rd**2 + 2.0 * L * Rb**2))
-
-    nu = normalization_factor(params)
-    var, fmt_sq = nu**2 * var, nu**4 * fmt_sq
+    fmt_sq = g2 * g2 * float(np.sum(Rd**2 + 2.0 * L * Rb**2))
     # the gap is 2 ||K^H K||^2 + 4 ||K K||^2, as in ``_whitened_row``
-    gap = 2.0 * fmt_sq + 4.0 * nu**4 * kwk_sq
-    return RateRow(T=params.T, m=m, var=var, gap=gap, e3_mixed=nu**3 * abs(e21), e3=0.0,
+    gap = 2.0 * fmt_sq + 4.0 * kwk_sq
+    return RateRow(T=params.T, m=m, var=var, gap=gap, e3_mixed=abs(e21), e3=0.0,
                    fmt_10_sq=fmt_sq, fmt_01_sq=fmt_sq,
                    be_upper=BoundInputs.from_moments(var, 0j, 2).upper(gap))
 
@@ -307,9 +306,10 @@ class RateTable:
 
 
 def _loglog_slope(xs, ys) -> float:
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
+    """Least-squares slope of log y against log x; NaN unless every y is positive and finite."""
+    if not all(0.0 < y < inf for y in ys):  # NaN fails
+        return nan
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
 def rate_sweep(base: OUParams, T_list, dt: float) -> RateTable:
@@ -438,12 +438,21 @@ def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:
     + Ai^T Ai (symmetric rank-k) and Im Q = C - C^T, C = Ar^T Ai.  var = ||A||^2,
     E F^2 = tr P, E F^3 = 2 tr(P A), E F^2 conj(F) = 2 <A, P>, both squared contraction
     norms are ||Q||^2 (||A A^H|| = ||A^H A||) and the gap is 2 ||Q||^2 + 4 ||P||^2.
-    The generic routes on the dense L^T K L are the test suite's oracle."""
-    m, c = grid.m, sqrt(params.T)
-    L = np.linalg.cholesky(fbm_gram(params, grid))
-    S = np.zeros((m, 2, m))                 # [Re KL | Im KL], KL = conj(rows) / sqrt(T)
+    The generic routes on the dense L^T K L are the test suite's oracle.  All fields
+    but var are scale-free, so A is formed from sqrt(T) K under the Gram of unit cells,
+    G / h^(2H), at largest entry 1, and var takes the scales back as one product, which
+    may round to 0 or inf but never raises.  e^(-lam dt) must be a normal float."""
+    m = grid.m
+    lam_dt, limit = params.lam * params.T / m, -log(np.finfo(float).tiny)   # about 708.40
+    if not lam_dt < limit:
+        raise InputError(f"grid too coarse for the fractional kernel: lam dt = {lam_dt!r}"
+                         f" exceeds -ln(smallest normal float) = {limit:.2f}")
+    L = np.linalg.cholesky(fbm_gram(replace(params, T=float(m)), grid))   # G / h^(2H)
+    S = np.zeros((m, 2, m))                 # [Re KL | Im KL], KL = conj(rows)
     for lo, rows in _triangle_rows(params, m, L):
-        S[1 + lo:1 + lo + len(rows)] = np.stack((rows.real / c, rows.imag / -c), axis=1)
+        S[1 + lo:1 + lo + len(rows)] = np.stack((rows.real, -rows.imag), axis=1)
+    top = float(max(S.max(), -S.min()))
+    S /= top
     R = L.T @ S.reshape(m, 2 * m)           # [Ar | Ai]
     del L, S, rows                 # freed before P and Q; a live block would pin the heap top
     P = np.empty((m, 2 * m))                # [Pr | Pi] = [T1 - T2 | T3 - T1 - T2]
@@ -465,7 +474,8 @@ def _whitened_row(params: OUParams, grid: GridSpec) -> RateRow:
     # normalize to unit variance: the gap is quartic, third moments cubic
     fmt_sq = q_sq / var**2
     gap = 2.0 * fmt_sq + 4.0 * p_sq / var**2
-    return RateRow(T=params.T, m=m, var=var, gap=gap,
+    scale = top * (params.T / m) ** (2 * params.H - 0.5) / sqrt(m)   # h^(2H) / sqrt(T), undone
+    return RateRow(T=params.T, m=m, var=var * scale * scale, gap=gap,
                    e3_mixed=2.0 * abs(complex(AP[0, 0] + AP[1, 1], AP[1, 0] - AP[0, 1])) / var**1.5,
                    e3=2.0 * abs(complex(PA[0, 0] - PA[1, 1], PA[0, 1] + PA[1, 0])) / var**1.5,
                    fmt_10_sq=fmt_sq, fmt_01_sq=fmt_sq,
@@ -690,7 +700,7 @@ class DenominatorReport:
     diff_se: float
 
     def to_json(self) -> dict:
-        return _json_finite(asdict(self))
+        return asdict(self)
 
 
 def verify_denominator_identity(params: OUParams, grid: GridSpec, seed: int,

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from math import sqrt
@@ -12,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cwchaos
 from cwchaos import chaos, cli, ou, space
@@ -500,6 +506,224 @@ def test_bound_vector_checks_its_covariance_before_eigenvalues(tmp_path, capsys)
         assert main(["bound", "--vector", path]) == 2
     err = capsys.readouterr().err
     assert "non-finite covariance" in err and "exceeds" not in err
+
+
+def _real_scaled_file(tmp_path, name, factor) -> str:
+    """A golden kernel with every entry replaced by factor x its modulus and no imaginary part."""
+    doc = json.loads((INPUTS / name).read_text())
+    doc["re"], doc["im"] = [factor * abs(x) for x in doc["re"]], [0.0] * len(doc["im"])
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, factor", [("k11.json", 1e80), ("k20.json", 1e100),
+                                          ("k21.json", 1e120), ("k22.json", 1e80)])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fmt_check_of_an_overflowing_table_exits_3(tmp_path, capsys, name, factor, fmt):
+    # every norm and the gap are +inf, and inf <= inf passed the sandwich with exit 0
+    out = tmp_path / f"fmt.{fmt}"
+    with np.errstate(all="ignore"):
+        code = main(["fmt-check", _real_scaled_file(tmp_path, name, factor), "--format", fmt,
+                     "-o", str(out)])
+    assert code == 3
+    assert "non-finite numbers in the fmt-check report" in capsys.readouterr().err
+    if fmt == "json":
+        assert _strict_json(out)["gap"] is None
+    else:
+        assert "# gap=inf" in out.read_text()
+
+
+@pytest.mark.parametrize("check", [[], ["--assert"]])
+def test_ou_verify_with_a_non_finite_number_exits_3(tmp_path, capsys, check):
+    # lam = 1e-300 makes the mean part about 1e300 and the residual spread inf
+    out = tmp_path / "verify.json"
+    with np.errstate(all="ignore"):
+        assert main(["ou-verify", "--lambda", "1e-300", "--T", "5", "--dt", "0.1,0.05",
+                     "-o", str(out), *check]) == 3
+    assert "non-finite numbers in the ou-verify report" in capsys.readouterr().err
+    assert all(doc["diff_se"] is None for doc in _strict_json(out))
+
+
+def test_circularity_with_an_infinite_tolerance_exits_3(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["circularity", str(INPUTS / "vector_circular.json"), "--tol", "inf",
+                 "-o", str(out)]) == 3
+    doc = _strict_json(out)
+    assert doc["tol"] is None and doc["passed"] is True
+
+
+def test_bound_kernel_keeps_a_finite_covariance_whose_squares_overflow(tmp_path, capsys):
+    # sigma^2 = 2.9e201 and |E F^2| = 2.8e201 are finite, but a^2 + b^2 overflowed and the
+    # covariance was refused as non-finite (exit 2); the gap does overflow, so exit 3
+    out = tmp_path / "bound.json"
+    with np.errstate(all="ignore"):
+        assert main(["bound", "--kernel", _real_scaled_file(tmp_path, "k11.json", 1e100),
+                     "-o", str(out)]) == 3
+    assert "non-finite numbers in the bound report" in capsys.readouterr().err
+    doc = _strict_json(out)
+    assert doc["lambda1"] == pytest.approx(2.84e201, rel=1e-2)
+    assert doc["be_upper"] is None and doc["be_upper_circular"] is None
+
+
+def _rate_rows(argv) -> list[dict]:
+    """The rows, as name -> float, of an ou-rate CSV written to stdout with exit 0."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    lines = [line for line in buf.getvalue().splitlines() if not line.startswith("#")]
+    return [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
+
+
+def test_ou_rate_at_a_tiny_decay_per_step():
+    # lam = 1e-17 rounded x = exp(-2 lam dt) to 1, and 1 - x divided by zero; at T = 1e-300
+    # nu^4 and T^-2 overflowed.  Each field is a power of 1 / lam times a function of lam T,
+    # omega T and m, so lam T = 1e-300 gives the same rows however it splits into lam and T
+    rows = {lam: _rate_rows(["ou-rate", "--lambda", lam, "--T", T, "--dt", dt])
+            for lam, T, dt in (("1e-17", "5,10", "0.5"), ("1", "1e-300,2e-300", "1e-301"),
+                               ("1e-150", "1e-150,2e-150", "1e-151"))}
+    assert all(math.isfinite(v) for row in rows["1e-17"] for v in row.values())
+    for ra, rb in zip(rows["1"], rows["1e-150"]):
+        assert 1e-150 * rb["var"] == pytest.approx(ra["var"], rel=1e-12)
+        for name, power in (("gap", 2), ("fmt_10_sq", 2), ("e3_mixed", 1.5), ("be_upper", 0.5)):
+            assert 1e-150 ** power * rb[name] == pytest.approx(ra[name], rel=1e-12), name
+
+
+def test_fractional_rate_rows_at_extreme_horizons(capsys):
+    # every field but var is scale-free: at T = 1e-300 (a cell Gram of 1e-421, 0 in
+    # floats, failed the Cholesky) the row matches the one at the same lam h and m
+    tiny = _rate_rows(["ou-rate", "--hurst", "0.7", "--T", "1e-300,2e-300", "--dt", "1e-301"])
+    same = _rate_rows(["ou-rate", "--hurst", "0.7", "--lambda", "1e-280", "--T", "1e-20,2e-20",
+                       "--dt", "1e-21"])
+    for ra, rb in zip(tiny, same):
+        assert ra["var"] == 0.0 and rb["var"] > 0.0           # 1e-542 rounds to 0
+        for name in ("gap", "e3_mixed", "e3", "fmt_10_sq", "be_upper"):
+            assert ra[name] == pytest.approx(rb[name], rel=1e-12), name
+    # at T = 1e300 the variance overflows: written as inf, the command exits 3
+    with np.errstate(all="ignore"):
+        assert main(["ou-rate", "--hurst", "0.7", "--lambda", "1e-300", "--T", "1e300,2e300",
+                     "--dt", "1e298"]) == 3
+    out, err = capsys.readouterr()
+    assert ",inf," in out and "non-finite numbers in the ou-rate report" in err
+
+
+@pytest.mark.parametrize("argv", [["--T", "1e300,2e300", "--dt", "1e298"],
+                                  ["--lambda", "1e300", "--T", "5,10", "--dt", "0.5"]])
+def test_fractional_rate_refuses_an_underflowing_kernel(capsys, argv):
+    # lam dt = 1e298 and 5e299: the cell Gram h^(2H) overflowed, or e^(-lam dt) = 0 made
+    # var 0 and every field 0 / 0; both are refused, naming the limit
+    assert main(["ou-rate", "--hurst", "0.7", *argv]) == 2
+    assert "grid too coarse for the fractional kernel: lam dt = " in capsys.readouterr().err
+
+
+def test_report_detects_non_finite_numbers_in_any_container(tmp_path, capsys):
+    # json writes a tuple as a list; a NaN or inf inside one is still found and nulled
+    args = argparse.Namespace(command="demo", output=str(tmp_path / "r.json"))
+    assert cli._report({"t": (1.5, 2.0), "n": None, "ok": True}, args) == 0
+    assert capsys.readouterr().err == ""
+    assert cli._report({"t": (1.5, float("inf")), "rows": [{"x": float("nan")}]}, args) == 3
+    assert capsys.readouterr().err == "non-finite numbers in the demo report\n"
+    assert _strict_json(tmp_path / "r.json") == {"t": [1.5, None], "rows": [{"x": None}]}
+    assert cli._report({"x": float("nan")}, args, text="x\nnan\n") == 3
+    assert (tmp_path / "r.json").read_text() == "x\nnan\n"
+
+
+def _assert_boundary_rule(argv, out: Path, csv: bool = False) -> int:
+    """The boundary rule on finite input: exit 0 with every number finite, 2 with an error
+    line, or 3 with any report strict JSON; never a traceback (main would raise it here),
+    and never exit 0 with a null, except the circular bound no non-circular kernel has."""
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = _exit_code(argv + ["-o", str(out)])
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        assert err.getvalue().startswith("error: "), argv
+    if not out.exists():
+        assert code != 0, argv
+        return code
+    if csv:
+        numbers = []
+        for token in re.split(r"[,=\s]+", out.read_text()):
+            try:
+                numbers.append(float(token))
+            except ValueError:
+                pass
+        assert code != 0 or all(map(math.isfinite, numbers)), argv
+        return code
+    leaves = list(_leaves(_strict_json(out)))
+    assert code != 0 or all(value is not None for key, value in leaves
+                            if key != "be_upper_circular"), argv
+    return code
+
+
+def _leaves(doc, key=None):
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _leaves(v, k)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _leaves(v, key)
+    else:
+        yield key, doc
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)   # about 1.5 s on 2 cores
+@given(order=st.integers(0, 4).flatmap(lambda total: st.tuples(st.integers(0, total),
+                                                                st.just(total))),
+       n=st.integers(1, 4), seed=st.integers(0, 2 ** 16), complex_entries=st.booleans(),
+       scale=st.integers(-300, 300), weight=st.integers(-300, 300))
+def test_kernel_commands_keep_the_boundary_rule(tmp_path_factory, order, n, seed,
+                                                complex_entries, scale, weight):
+    # entries 10^scale and weights 10^weight: finite, so every loader accepts them; only
+    # real entries reach the all-infinite tables of fmt-check
+    (p, total), rng = order, np.random.default_rng(seed)
+    d = tmp_path_factory.mktemp("rule")
+    weights = list(rng.uniform(0.5, 2.0, n) * 10.0 ** weight)     # one space for the vector
+
+    def term():
+        size = n ** total
+        im = rng.standard_normal(size) if complex_entries else np.zeros(size)
+        kernel = {"n": n, "p": p, "q": total - p, "weights": weights,
+                  "re": list(rng.standard_normal(size) * 10.0 ** scale),
+                  "im": list(im * 10.0 ** scale)}
+        return {"p": p, "q": total - p, "kernel": kernel}
+
+    first = term()
+    (d / "k.json").write_text(json.dumps(first["kernel"]))
+    (d / "c.json").write_text(json.dumps({"constant_re": 0.0, "constant_im": 0.0,
+                                          "terms": [first]}))
+    (d / "v.json").write_text(json.dumps({"components": [first, term()]}))
+    with np.errstate(all="ignore"):
+        for argv, csv in ((["moments", "{k}"], False), (["bound", "--kernel", "{k}"], False),
+                          (["fmt-check", "{k}"], False),
+                          (["fmt-check", "{k}", "--format", "csv"], True),
+                          (["clt-check", "{c}"], False), (["bound", "--vector", "{v}"], False),
+                          (["circularity", "{v}"], False)):
+            argv = [arg.format(k=d / "k.json", c=d / "c.json", v=d / "v.json") for arg in argv]
+            _assert_boundary_rule(argv, d / "out", csv)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)  # about 0.8 s on 2 cores
+@given(lam=st.integers(-300, 300), omega=st.one_of(st.just(None), st.integers(-300, 300)),
+       negative=st.booleans(), horizon=st.integers(-300, 300),
+       hurst=st.sampled_from(["0.5", "0.7"]),
+       m=st.integers(2, 32), spacings=st.tuples(st.integers(2, 64), st.integers(2, 64)),
+       paths=st.integers(1, 10), check=st.booleans())
+def test_ou_commands_keep_the_boundary_rule(tmp_path_factory, lam, omega, negative, horizon,
+                                            hurst, m, spacings, paths, check):
+    # --lambda 10^lam, --omega 0 or +-10^omega and horizons from 10^horizon, on grids of at
+    # most 64 nodes; "--omega=" keeps a negative exponent form from reading as a flag
+    drift = [f"--lambda={10.0 ** lam!r}", f"--omega={(-1) ** negative * 10.0 ** omega!r}"
+             if omega is not None else "--omega=0"]
+    T = 10.0 ** horizon
+    out = tmp_path_factory.mktemp("rule") / "out"
+    with np.errstate(all="ignore"):
+        _assert_boundary_rule(["ou-rate", *drift, "--hurst", hurst, "--T", f"{T!r},{2 * T!r}",
+                               "--dt", repr(T / m), *(["--assert"] * check)], out, csv=True)
+        _assert_boundary_rule(["ou-verify", *drift, "--T", repr(T), "--dt",
+                               ",".join(repr(T / k) for k in spacings), "--paths", str(paths),
+                               *(["--assert"] * check)], out)
 
 
 def test_sample_writes_csv(files, tmp_path):

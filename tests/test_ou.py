@@ -223,7 +223,8 @@ def test_normalized_variance_is_half_over_lam():
 
 
 @pytest.mark.parametrize("lam,omega,T,m", [(1.0, 0.0, 6.0, 120), (0.8, 0.9, 9.0, 135),
-                                            (1.0, 0.3, 1020.0, 6)])  # lam dt = 170
+                                            (1.0, 0.3, 1020.0, 6),    # lam dt = 170
+                                            (1e-9, 0.3, 5.0, 40)])    # 1 - x cancels
 def test_structured_matches_dense(lam, omega, T, m):
     p = OUParams(lam=lam, omega=omega, T=T)
     K = numerator_kernel(p, GridSpec(m=m))
