@@ -2,17 +2,20 @@
 
 Exit codes: 0 on success, 2 on validation failures (``InputError``, unreadable or non-JSON
 files, flag values argparse refuses), 3 on tolerance/assertion failures (route disagreement,
-slopes outside an asserted window, non-shrinking residuals, a fourth-moment gap outside its
-contraction-norm sandwich) and on any report with a non-finite number, which ``_report``
-writes as null.  Any other exception is an internal fault and propagates with its traceback.
+slopes outside an asserted window, non-shrinking residuals, a gap outside its sandwich, a
+failed circularity gate) and on a report with a non-finite number or sample.  ``_report`` is
+the one exit path.  Any other exception is an internal fault and propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
+
+import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -43,8 +46,8 @@ from .ou import (
     sample_numerator,
     verify_denominator_identity,
 )
-from .sampling import sample_chaos, save_batch
-from .space import InputError, SpaceError, _json_finite, load_kernel
+from .sampling import SampleBatch, sample_chaos
+from .space import InputError, SpaceError, load_kernel
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -77,14 +80,30 @@ def _load_vector(path: str) -> ChaosVector:
     return ChaosVector(out)
 
 
-def _report(doc, args, text=None) -> int:
+def _json_finite(value):
+    """``value`` with each non-finite float, in nested dicts and lists too (complex parts come
+    as lists), made None: json.dumps would write the non-JSON tokens NaN and Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_finite(item) for item in value]
+    return value
+
+
+def _report(doc, args, text=None, gate=None) -> int:
     """Write a command's report to ``args.output`` (stdout if None or "-"): the CSV ``text``
-    if given, else ``doc`` as JSON with null for each non-finite number.  The CLI's one
-    non-finite rule: a ``doc`` with a NaN or an infinity anywhere exits 3, with one stderr line."""
+    if given, else ``doc`` as JSON with null for each non-finite number; pick the exit code.
+
+    The CLI's one exit path.  ``gate`` is the message of the command's own failed check, or
+    None.  A ``doc`` with a NaN or an infinity anywhere, then a failed gate, each print one
+    stderr line, and either exits 3."""
     try:
-        body, code = json.dumps(doc, indent=2, allow_nan=False), EXIT_OK
+        body, failures = json.dumps(doc, indent=2, allow_nan=False), []
     except ValueError:                  # json's refusal of a NaN or an infinity
-        body, code = json.dumps(_json_finite(doc), indent=2), EXIT_TOLERANCE
+        body = json.dumps(_json_finite(doc), indent=2)
+        failures = [f"non-finite numbers in the {args.command} report"]
     if text is not None:
         body = text
     if args.output is None or args.output == "-":
@@ -92,9 +111,16 @@ def _report(doc, args, text=None) -> int:
     else:
         with open(args.output, "w") as fh:
             fh.write(body)
-    if code != EXIT_OK:
-        print(f"non-finite numbers in the {args.command} report", file=sys.stderr)
-    return code
+    failures += [] if gate is None else [gate]
+    for line in failures:
+        print(line, file=sys.stderr)
+    return EXIT_TOLERANCE if failures else EXIT_OK
+
+
+def _report_batch(batch: SampleBatch, args) -> int:
+    """A sampler's exit: the batch's CSV, gated on every sample being finite."""
+    finite = bool(np.isfinite(batch.values).all())
+    return _report(None, args, batch.to_csv(), None if finite else "non-finite samples")
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -102,12 +128,10 @@ def _report(doc, args, text=None) -> int:
 
 def cmd_moments(args) -> int:
     rep = moment_report(load_kernel(args.kernel))
-    code = _report(rep.to_json(), args)
     spread = rep.route_spread()
-    if not spread <= args.tol:  # NaN fails
-        print(f"route disagreement {spread:.3e} > {args.tol:.1e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return code
+    gate = None if spread <= args.tol else (    # NaN fails
+        f"route disagreement {spread:.3e} > {args.tol:.1e}")
+    return _report(rep.to_json(), args, gate=gate)
 
 
 def cmd_bound(args) -> int:
@@ -146,14 +170,11 @@ def cmd_fmt_check(args) -> int:
     doc = {"fmt_norms": {f"{i},{j}": v for (i, j), v in sorted(table.items())}, **sandwich}
     lines = ["i,j,norm"] + [f"{i},{j},{v!r}" for (i, j), v in sorted(table.items())]
     lines += [f"# {key}={value!r}" for key, value in sandwich.items()]
-    code = _report(doc, args, "\n".join(lines) + "\n" if args.format == "csv" else None)
     # the main theorem's sandwich c1 sum <= gap <= c2 sum of the contraction norms
-    if not (c1_sum <= gap * (1 + SANDWICH_SLACK)
-            and gap <= c2_sum * (1 + SANDWICH_SLACK)):  # NaN fails
-        print(f"gap sandwich violated: c1_sum={c1_sum!r}, gap={gap!r}, c2_sum={c2_sum!r}",
-              file=sys.stderr)
-        return EXIT_TOLERANCE
-    return code
+    ok = c1_sum <= gap * (1 + SANDWICH_SLACK) and gap <= c2_sum * (1 + SANDWICH_SLACK)  # NaN fails
+    gate = None if ok else (
+        f"gap sandwich violated: c1_sum={c1_sum!r}, gap={gap!r}, c2_sum={c2_sum!r}")
+    return _report(doc, args, "\n".join(lines) + "\n" if args.format == "csv" else None, gate)
 
 
 def cmd_clt_check(args) -> int:
@@ -162,7 +183,9 @@ def cmd_clt_check(args) -> int:
 
 def cmd_circularity(args) -> int:
     rep = circularity_check(_load_vector(args.vector), tol=args.tol)
-    return max(_report(rep.to_json(), args), EXIT_OK if rep.passed else EXIT_TOLERANCE)
+    gate = None if rep.passed else (f"max |E F^j F^r| = {rep.max_abs:.3e} exceeds"
+                                     f" {rep.tol:.1e} x the largest component variance")
+    return _report(rep.to_json(), args, gate=gate)
 
 
 def cmd_sample(args) -> int:
@@ -170,27 +193,21 @@ def cmd_sample(args) -> int:
         F = ChaosVariable.from_kernel(load_kernel(args.kernel))
     else:
         F = _load_chaos(args.chaos)
-    batch = sample_chaos(F, args.n, args.seed)
-    save_batch(batch, args.output)
-    return EXIT_OK
+    return _report_batch(sample_chaos(F, args.n, args.seed), args)
 
 
 def cmd_ou_rate(args) -> int:
     base = OUParams(lam=args.lam, omega=args.omega, T=args.T[0], H=args.hurst)
     table = rate_sweep(base, args.T, dt=args.dt)
-    code = _report(asdict(table), args, table.to_csv())
+    gate = None
     if args.check:
         ok = abs(table.slope_gap - args.gap_slope) <= args.slope_tol
         if table.slope_e3_mixed is not None and base.H == 0.5:
             ok = ok and abs(table.slope_e3_mixed - args.mixed_slope) <= args.slope_tol
         if not ok:
-            print(
-                f"slopes outside window: gap={table.slope_gap:.3f} (target {args.gap_slope}"
-                f" +- {args.slope_tol}), e3_mixed={table.slope_e3_mixed}",
-                file=sys.stderr,
-            )
-            return EXIT_TOLERANCE
-    return code
+            gate = (f"slopes outside window: gap={table.slope_gap:.3f} (target {args.gap_slope}"
+                    f" +- {args.slope_tol}), e3_mixed={table.slope_e3_mixed}")
+    return _report(asdict(table), args, table.to_csv(), gate)
 
 
 def cmd_ou_verify(args) -> int:
@@ -200,21 +217,17 @@ def cmd_ou_verify(args) -> int:
     grids = [GridSpec.from_spacing(args.T, dt) for dt in args.dt]  # all checked before any path
     reports = [verify_denominator_identity(params, grid, seed=args.seed, n_paths=args.paths)
                for grid in grids]
-    code = _report([r.to_json() for r in reports], args)
-    if args.check:
-        means = [r.mean_abs_residual for r in reports]
-        if not all(b < a for a, b in zip(means, means[1:])):  # NaN fails
-            print(f"residuals did not shrink across dt list: {means}", file=sys.stderr)
-            return EXIT_TOLERANCE
-    return code
+    means = [r.mean_abs_residual for r in reports]
+    gate = None
+    if args.check and not all(b < a for a, b in zip(means, means[1:])):  # NaN fails
+        gate = f"residuals did not shrink across dt list: {means}"
+    return _report([r.to_json() for r in reports], args, gate=gate)
 
 
 def cmd_ou_sample(args) -> int:
     params = OUParams(lam=args.lam, omega=args.omega, T=args.T)
     grid = GridSpec.from_spacing(args.T, args.dt)
-    batch = sample_numerator(params, grid, N=args.n, seed=args.seed)
-    save_batch(batch, args.output)
-    return EXIT_OK
+    return _report_batch(sample_numerator(params, grid, N=args.n, seed=args.seed), args)
 
 
 # -- parser ----------------------------------------------------------------------------
@@ -228,6 +241,24 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
 
 
+def _command(sub, name: str, func, help: str, sampler: bool = False):
+    """A subcommand writing to ``-o``, stdout if omitted or "-"; a sampler's batch of
+    ``-N`` samples needs the option."""
+    p = sub.add_parser(name, help=help)
+    if sampler:
+        p.add_argument("-N", "--n", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-o", "--output", required=sampler, default=None)
+    p.set_defaults(func=func)
+    return p
+
+
+def _drift(p: argparse.ArgumentParser) -> None:
+    """The OU commands' drift lam + i omega."""
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--omega", type=float, default=0.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cwchaos",
@@ -237,85 +268,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="moment report for a kernel file (three gap routes)")
+    p = _command(sub, "moments", cmd_moments, "moment report for a kernel file (three gap routes)")
     p.add_argument("kernel")
-    p.add_argument("-o", "--output", default=None)
     p.add_argument("--tol", type=float, default=1e-9, help="route agreement tolerance")
-    p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("bound", help="Berry-Esseen bound report (kernel or vector file)")
+    p = _command(sub, "bound", cmd_bound, "Berry-Esseen bound report (kernel or vector file)")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--kernel")
     g.add_argument("--vector")
-    p.add_argument("-o", "--output", default=None)
     p.add_argument("--circular-tol", type=float, default=CIRCULAR_TOL)
-    p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("fmt-check", help="contraction-norm table of a kernel and the gap "
-                                         "sandwich (exit 3 if it fails)")
+    p = _command(sub, "fmt-check", cmd_fmt_check, "contraction-norm table of a kernel and the "
+                                                  "gap sandwich (exit 3 if it fails)")
     p.add_argument("kernel")
-    p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_fmt_check)
 
-    p = sub.add_parser("clt-check", help="chaotic CLT condition tables for a chaos file")
+    p = _command(sub, "clt-check", cmd_clt_check, "chaotic CLT condition tables for a chaos file")
     p.add_argument("chaos")
-    p.add_argument("-o", "--output", default=None)
     p.add_argument("--truncate", type=int, default=8, help="tail-mass truncation order")
-    p.set_defaults(func=cmd_clt_check)
 
-    p = sub.add_parser("circularity", help="pseudo-covariance check of a vector file")
+    p = _command(sub, "circularity", cmd_circularity, "pseudo-covariance check of a vector file")
     p.add_argument("vector")
-    p.add_argument("-o", "--output", default=None)
     p.add_argument("--tol", type=float, default=CIRCULAR_TOL)
-    p.set_defaults(func=cmd_circularity)
 
-    p = sub.add_parser("sample", help="Monte Carlo batch of a kernel/chaos file (CSV)")
+    p = _command(sub, "sample", cmd_sample, "Monte Carlo batch of a kernel/chaos file (CSV)",
+                 sampler=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--kernel")
     g.add_argument("--chaos")
-    p.add_argument("-N", "--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("ou-rate", help="horizon sweep of the decay-rate quantities (CSV)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=0.0)
+    p = _command(sub, "ou-rate", cmd_ou_rate, "horizon sweep of the decay-rate quantities (CSV)")
+    _drift(p)
     p.add_argument("--hurst", type=float, default=0.5)
     p.add_argument("--T", type=_float_list, default="50,100,200,400,800",
                    help="comma-separated horizons")
     p.add_argument("--dt", type=float, default=0.05, help="grid spacing (fixed across T)")
-    p.add_argument("-o", "--output", default=None)
     p.add_argument("--assert", dest="check", action="store_true",
                    help="exit 3 unless slopes fall in the target windows")
     p.add_argument("--gap-slope", type=float, default=-1.0)
     p.add_argument("--mixed-slope", type=float, default=-0.5)
     p.add_argument("--slope-tol", type=float, default=0.1)
-    p.set_defaults(func=cmd_ou_rate)
 
-    p = sub.add_parser("ou-verify", help="pathwise check of the |Z|^2 time-average identity")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=0.0)
+    p = _command(sub, "ou-verify", cmd_ou_verify, "pathwise check of the |Z|^2 time-average "
+                                                  "identity")
+    _drift(p)
     p.add_argument("--T", type=float, default=5.0)
     p.add_argument("--dt", type=_float_list, default="0.1,0.01",
                    help="comma-separated spacings, coarse to fine")
     p.add_argument("--paths", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", default=None)
     p.add_argument("--assert", dest="check", action="store_true",
                    help="exit 3 unless residuals shrink along the dt list")
-    p.set_defaults(func=cmd_ou_verify)
 
-    p = sub.add_parser("ou-sample", help="Monte Carlo batch of the normalized numerator statistic")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=0.0)
+    p = _command(sub, "ou-sample", cmd_ou_sample, "Monte Carlo batch of the normalized "
+                                                  "numerator statistic", sampler=True)
+    _drift(p)
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("-N", "--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_ou_sample)
 
     return parser
 

@@ -618,6 +618,7 @@ def sample_numerator(params: OUParams, grid: GridSpec, N: int, seed: int) -> Sam
         raise InputError("sampling is implemented for the H = 1/2 branch")
     if N < 1:
         raise InputError("N must be >= 1")
+    _check_entries(N, "a batch of samples")
     m = grid.m
     T = params.T
     scale = T / m / sqrt(T) * normalization_factor(params)      # dt / sqrt(T), normalized

@@ -27,7 +27,7 @@ from math import comb, factorial, isfinite, pi, sqrt
 import numpy as np
 
 from .chaos import ChaosVariable
-from .space import InputError, SpaceSpec, _apply_weights
+from .space import InputError, SpaceSpec, _apply_weights, _check_entries
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -38,7 +38,6 @@ __all__ = [
     "sample_gaussian",
     "wasserstein_1d",
     "sliced_wasserstein_2d",
-    "save_batch",
 ]
 
 GENERATOR_VERSION = "cwchaos-hermite-3"
@@ -57,6 +56,13 @@ class SampleBatch:
     def __post_init__(self):
         if self.values.size < 1:
             raise InputError("a batch needs at least one sample")
+
+    def to_csv(self) -> str:
+        """CSV with columns re, im; the header comment carries seed and version."""
+        values = np.asarray(self.values, dtype=complex)
+        body = "".join([f"{re!r},{im!r}\n"
+                        for re, im in zip(values.real.tolist(), values.imag.tolist())])
+        return f"# {self.meta}\nre,im\n{body}"
 
 
 @dataclass(frozen=True)
@@ -182,6 +188,7 @@ def sample_chaos(F: ChaosVariable, N: int, seed: int) -> SampleBatch:
     """
     if N < 1:
         raise InputError("N must be >= 1")
+    _check_entries(N, "a batch of samples")
     n = F.space.n
     # coefficients in the orthonormalized basis e_k / sqrt(w_k)
     root = SpaceSpec(n, np.sqrt(F.space.weights))
@@ -203,6 +210,7 @@ def sample_gaussian(target: GaussianTarget, N: int, seed: int) -> SampleBatch:
     2x2 covariance (rank-deficient targets degrade gracefully)."""
     if N < 1:
         raise InputError("N must be >= 1")
+    _check_entries(N, "a batch of samples")
     eigval, eigvec = np.linalg.eigh(target.covariance())
     L = eigvec @ np.diag(np.sqrt(np.clip(eigval, 0.0, None)))
     xy = L @ _block_rng(seed).standard_normal((2, N))
@@ -243,11 +251,3 @@ def sliced_wasserstein_2d(x: np.ndarray, y: np.ndarray, K: int = 64, seed: int =
         total += wasserstein_1d((x * rot).real, (y * rot).real)
     return total / K
 
-
-def save_batch(batch: SampleBatch, path) -> None:
-    """CSV dump with columns re, im; the header comment carries seed and version."""
-    values = np.asarray(batch.values, dtype=complex)
-    body = "".join([f"{re!r},{im!r}\n"
-                    for re, im in zip(values.real.tolist(), values.imag.tolist())])
-    with open(path, "w") as fh:
-        fh.write(f"# {batch.meta}\nre,im\n{body}")

@@ -584,18 +584,6 @@ def _json_int(doc: dict, key: str) -> int:
     return int(value)
 
 
-def _json_finite(value):
-    """``value`` with each non-finite float, in nested dicts and lists too (complex parts come
-    as lists), made None: json.dumps would write the non-JSON tokens NaN and Infinity."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _json_finite(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_finite(item) for item in value]
-    return value
-
-
 def kernel_from_json(doc: dict) -> Kernel:
     try:
         n = _json_int(doc, "n")

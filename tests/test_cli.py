@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import dataclasses
 import io
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cwchaos
-from cwchaos import chaos, cli, ou, space
+from cwchaos import chaos, cli, ou, sampling, space
 from cwchaos.chaos import ChaosVariable, chaos_to_json
 from cwchaos.cli import main
 from cwchaos.space import Kernel, SpaceSpec, kernel_to_json, save_kernel
@@ -258,6 +259,18 @@ def test_ou_sample_caps_the_block_before_any_draw(tmp_path, monkeypatch, capsys)
     assert "above the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["sample", "--kernel", "{k}"], ["ou-sample", "--T", "5"]])
+def test_samplers_cap_the_batch_size(files, monkeypatch, capsys, argv):
+    # -N above the entry cap exits 2, naming the batch, before any draw
+    monkeypatch.setattr(space, "ENTRY_CAP", 1000)
+    for module in (sampling, ou):
+        monkeypatch.setattr(module, "_block_rng", lambda *a: pytest.fail("drew past the cap"))
+    argv = [arg.format(k=files / "k11.json") for arg in argv]
+    assert main([*argv, "-N", "1001", "-o", str(files / "batch.csv")]) == 2
+    assert "a batch of samples needs 1001 entries" in capsys.readouterr().err
+    assert not (files / "batch.csv").exists()
+
+
 def test_ou_verify_caps_the_draws_before_any_draw(monkeypatch, capsys):
     # dt = 1e-7 on [0, 5] is m = 5e7 nodes: a (5e7 x 100) draw, about 80 GB
     monkeypatch.setattr(ou, "_complex_normal", lambda *a, **k: pytest.fail("drew past the cap"))
@@ -387,6 +400,41 @@ def test_circularity_exit_codes(files, tmp_path):
     bad.write_text(json.dumps({"components": [
         {"p": 1, "q": 1, "kernel": kernel_to_json(Kernel.basis(sp, (0,), (0,)))}]}))
     assert main(["circularity", str(bad), "-o", str(tmp_path / "c2.json")]) == 3
+
+
+def test_failed_circularity_gate_prints_one_line(files, tmp_path, capsys):
+    sp = SpaceSpec.orthonormal(2)
+    bad = tmp_path / "bad_vec.json"
+    bad.write_text(json.dumps({"components": [
+        {"p": 1, "q": 1, "kernel": kernel_to_json(Kernel.basis(sp, (0,), (0,)))}]}))
+    assert main(["circularity", str(bad), "-o", str(tmp_path / "c.json")]) == 3
+    assert capsys.readouterr().err == (
+        "max |E F^j F^r| = 1.000e+00 exceeds 1.0e-08 x the largest component variance\n")
+
+
+def test_sample_with_a_non_finite_sample_exits_3(tmp_path, capsys):
+    # a (2,2) kernel at n = 4 with every entry 1e307 is finite, but its Wick terms overflow;
+    # the batch is still written, and the exit code says it is not all finite
+    size = 4 ** 4
+    kernel = tmp_path / "k.json"
+    kernel.write_text(json.dumps({"n": 4, "p": 2, "q": 2, "weights": [1.0] * 4,
+                                  "re": [1e307] * size, "im": [0.0] * size}))
+    out = tmp_path / "batch.csv"
+    with np.errstate(all="ignore"):
+        assert main(["sample", "--kernel", str(kernel), "-N", "5", "-o", str(out)]) == 3
+    assert capsys.readouterr().err == "non-finite samples\n"
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 5 and not all(math.isfinite(float(x)) for row in rows for x in row)
+
+
+def test_samplers_write_a_batch_to_stdout(files, tmp_path, capsys):
+    # "-o -" writes the batch to stdout, byte for byte the file
+    for argv in (["sample", "--kernel", str(files / "k11.json"), "-N", "7"],
+                 ["ou-sample", "--T", "5", "-N", "7"]):
+        assert main([*argv, "-o", str(tmp_path / "batch.csv")]) == 0
+        capsys.readouterr()
+        assert main([*argv, "-o", "-"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "batch.csv").read_text()
 
 
 def _overflowing_files(tmp_path) -> dict:
@@ -628,6 +676,23 @@ def test_report_detects_non_finite_numbers_in_any_container(tmp_path, capsys):
     assert (tmp_path / "r.json").read_text() == "x\nnan\n"
 
 
+def test_report_is_the_one_exit_path():
+    # only _report prints a failed check and returns 3, so no command can write a report
+    # and fail a gate past it; main prints the exit-2 errors
+    tree = ast.parse(Path(cli.__file__).read_text())
+    stderr, tolerance = set(), set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                stderr.add(getattr(top, "name", None))
+            elif (isinstance(node, ast.Name) and node.id == "EXIT_TOLERANCE"
+                    and isinstance(node.ctx, ast.Load)):
+                tolerance.add(getattr(top, "name", None))
+    assert stderr <= {"_report", "main"} and "_report" in stderr
+    assert tolerance == {"_report"}
+
+
 def _assert_boundary_rule(argv, out: Path, csv: bool = False) -> int:
     """The boundary rule on finite input: exit 0 with every number finite, 2 with an error
     line, or 3 with any report strict JSON; never a traceback (main would raise it here),
@@ -668,7 +733,7 @@ def _leaves(doc, key=None):
         yield key, doc
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)   # about 1.5 s on 2 cores
+@settings(max_examples=80, derandomize=True, deadline=None)   # about 2.3 s on 2 cores
 @given(order=st.integers(0, 4).flatmap(lambda total: st.tuples(st.integers(0, total),
                                                                 st.just(total))),
        n=st.integers(1, 4), seed=st.integers(0, 2 ** 16), complex_entries=st.booleans(),
@@ -699,12 +764,13 @@ def test_kernel_commands_keep_the_boundary_rule(tmp_path_factory, order, n, seed
                           (["fmt-check", "{k}"], False),
                           (["fmt-check", "{k}", "--format", "csv"], True),
                           (["clt-check", "{c}"], False), (["bound", "--vector", "{v}"], False),
-                          (["circularity", "{v}"], False)):
+                          (["circularity", "{v}"], False),
+                          (["sample", "--kernel", "{k}", "-N", "4"], True)):
             argv = [arg.format(k=d / "k.json", c=d / "c.json", v=d / "v.json") for arg in argv]
             _assert_boundary_rule(argv, d / "out", csv)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)  # about 0.8 s on 2 cores
+@settings(max_examples=100, derandomize=True, deadline=None)  # about 1.4 s on 2 cores
 @given(lam=st.integers(-300, 300), omega=st.one_of(st.just(None), st.integers(-300, 300)),
        negative=st.booleans(), horizon=st.integers(-300, 300),
        hurst=st.sampled_from(["0.5", "0.7"]),
@@ -724,6 +790,8 @@ def test_ou_commands_keep_the_boundary_rule(tmp_path_factory, lam, omega, negati
         _assert_boundary_rule(["ou-verify", *drift, "--T", repr(T), "--dt",
                                ",".join(repr(T / k) for k in spacings), "--paths", str(paths),
                                *(["--assert"] * check)], out)
+        _assert_boundary_rule(["ou-sample", *drift, "--T", repr(T), "--dt", repr(T / m),
+                               "-N", "4"], out, csv=True)
 
 
 def test_sample_writes_csv(files, tmp_path):

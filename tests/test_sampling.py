@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cwchaos import ou, sampling, space
 from cwchaos.chaos import ChaosVariable, moment
 from cwchaos.sampling import (
     _BLOCK,
@@ -21,10 +22,10 @@ from cwchaos.sampling import (
     sample_chaos,
     sample_gaussian,
     sliced_wasserstein_2d,
-    save_batch,
     wasserstein_1d,
 )
-from cwchaos.space import Kernel, SpaceSpec
+from cwchaos.ou import GridSpec, OUParams, sample_numerator
+from cwchaos.space import Kernel, SpaceError, SpaceSpec
 
 from conftest import (
     exact_wasserstein_2d,
@@ -187,6 +188,31 @@ def test_sampler_validates_n(rng):
         sample_chaos(F, 0, seed=1)
 
 
+# (sampler, cap): a batch of N samples is refused above the entry cap, before its values
+# array or any draw, and runs at it.  sample_numerator's own guard on an m x block of draws
+# binds first below N = m x 1024, so its batch guard is shown at m = 2 and N = 2^17 + 1,
+# where the block of 65,536 columns is exactly at the cap.
+SAMPLERS_AT_CAP = [
+    (lambda N: sample_chaos(ChaosVariable.from_kernel(
+        Kernel.basis(SpaceSpec.orthonormal(2), (0,), (1,))), N, seed=1), 1000),
+    (lambda N: sample_gaussian(GaussianTarget.circular(1.0), N, seed=1), 1000),
+    (lambda N: sample_numerator(OUParams(lam=1.0, T=1.0), GridSpec(m=2), N, seed=1), 1 << 17),
+]
+
+
+@pytest.mark.parametrize("sampler, cap", SAMPLERS_AT_CAP,
+                         ids=["sample_chaos", "sample_gaussian", "sample_numerator"])
+def test_samplers_cap_the_batch_before_any_draw(monkeypatch, sampler, cap):
+    monkeypatch.setattr(space, "ENTRY_CAP", cap)
+    with monkeypatch.context() as patch:
+        for module in (sampling, ou):
+            patch.setattr(module, "_block_rng", lambda *a: pytest.fail("drew past the cap"))
+        with pytest.raises(SpaceError, match=f"a batch of samples needs {cap + 1} entries, "
+                                             f"above the cap {cap}"):
+            sampler(cap + 1)
+    assert sampler(cap).values.shape == (cap,)
+
+
 # (orders, n, N, constant): every order 1 <= p + q <= 4, a mixed chaos with a
 # constant, n = 1, a batch over two RNG blocks, and (2,1) at n = 40, whose
 # column slice of 2^20 // 40^2 = 655 samples is shorter than the batch
@@ -235,7 +261,7 @@ def test_save_batch_bytes_are_the_line_by_line_dump(tmp_path):
                        complex(np.nan, 1e300), 1.0 / 3.0 + 2.0**60 * 1j])
     batch = SampleBatch(values=values, seed=5, meta="m")
     path = tmp_path / "batch.csv"
-    save_batch(batch, path)
+    path.write_text(batch.to_csv())
     want = "# m\nre,im\n" + "".join(f"{float(v.real)!r},{float(v.imag)!r}\n" for v in values)
     assert path.read_bytes() == want.encode()
 

@@ -12,7 +12,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from cwchaos import ou, space
+from cwchaos import cli, ou, space
 from cwchaos.chaos import fourth_gap, moment_report
 from cwchaos.space import (
     Kernel,
@@ -793,11 +793,11 @@ def test_json_finite_nulls_only_non_finite_floats():
     doc = {"re": pseudo.real.tolist(), "im": pseudo.imag.tolist(), "x": np.float64(-np.inf),
            "t": (1.5, float("nan")), "nested": {"a": [np.float64(0.3), -0.0]},
            "n": 3, "ok": True, "note": "text", "none": None}
-    assert space._json_finite(doc) == {
+    assert cli._json_finite(doc) == {
         "re": [[None, 0.1]], "im": [[None, -2.5]], "x": None, "t": [1.5, None],
         "nested": {"a": [0.3, -0.0]}, "n": 3, "ok": True, "note": "text", "none": None}
     finite = {"a": [1e-300, 1.7976931348623157e308, -0.0], "b": {"c": np.float64(2.0) / 3}}
-    assert json.dumps(space._json_finite(finite)) == json.dumps(finite)
+    assert json.dumps(cli._json_finite(finite)) == json.dumps(finite)
 
 
 def test_kernel_json_malformed():
